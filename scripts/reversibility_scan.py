@@ -12,26 +12,15 @@ Writes one CSV per N into the output directory.
 
 import argparse
 import csv
-import math
 import os
 
 import numpy as np
 
 from catbath import analysis, dynamics
 from catbath.config import MHZ, NS
-from catbath.hilbert import DensityMatrix, SpaceLayout
 
 # lambda_j/2 in linear MHz for the eight reservoir qubits
 LAMBDA_HALF = [4.1, 3.3, 2.2, 2.6, 2.7, 2.5, 2.0, 3.2]
-
-
-def branch_states(spec, t):
-    out = []
-    for k in range(len(spec.couplings)):
-        ba = dynamics.branch_amplitudes(k, t, spec)
-        vec = np.array([ba.c_g, ba.c_e])
-        out.append(DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())))
-    return out
 
 
 def main():
@@ -54,7 +43,7 @@ def main():
             w.writerow(["t_ns", "coh_factor_abs", "distinguishability"])
             for t in times:
                 coh = abs(dynamics.coherence_factor(t, spec))
-                d = analysis.reservoir_distinguishability(branch_states(spec, t))
+                d = analysis.reservoir_distinguishability(dynamics.branch_states(t, spec))
                 w.writerow([f"{t / NS:.3f}", f"{coh:.6f}", f"{d:.6f}"])
         tail = times > 0.25 * times[-1]
         coh_tail = max(

@@ -22,6 +22,8 @@ from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
+    _propagate,
+    annihilation,
     displacement,
     embed,
     evolve,
@@ -98,7 +100,7 @@ def truncation_fidelity(spec: CatSpec) -> float:
 def jc_hamiltonian(xi: float, cutoff: int) -> OperatorMatrix:
     """Resonant exchange xi (a sigma+ + a^dag sigma-) on qubit (x) boson."""
     layout = SpaceLayout((2, cutoff))
-    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+    a = annihilation(cutoff).mat
     sig_p = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     term = xi * np.kron(sig_p, a)
     return OperatorMatrix(layout, term + term.conj().T, hermitian=True)
@@ -196,13 +198,11 @@ def apply_sequence(
 
 def sequence_unitary(steps: list[ProtocolStep], layout: SpaceLayout, xi: float) -> np.ndarray:
     """Matrix of the forward composition S_N Q_N ... S_1 Q_1."""
-    h_jc = jc_hamiltonian(xi, layout.dims[1])
-    w, v = np.linalg.eigh(h_jc.mat)
+    w, v = np.linalg.eigh(jc_hamiltonian(xi, layout.dims[1]).mat)
     flip = x_pi(layout).mat
     u = np.eye(layout.dim, dtype=complex)
     for step in reversed(steps):
-        swap = (v * np.exp(-1j * w * step.t)) @ v.conj().T
-        u = swap @ flip @ u
+        u = _propagate(w, v, step.t, flip @ u)
     return u
 
 

@@ -6,6 +6,11 @@ everything is converted to angular rad/s internally.  Exit codes:
 0 success, 1 invalid input or configuration, 2 numerical failure.
 Numerical warnings do not fail a run; they are collected into a
 sidecar log next to the main output (``<out>.warnings.log``).
+
+The ``decohere`` columns come from two models: ``entropy_bits`` from
+the photon-resolved ``dynamics.analytic_joint_state``, while
+``coh_factor_abs`` and ``distinguishability`` come from the
+semiclassical ``dynamics.branch_amplitudes``.
 """
 
 from __future__ import annotations
@@ -57,9 +62,12 @@ def _read_csv(path: str, required: list[str]) -> list[dict]:
 
 def _float_field(row: dict, key: str, path: str) -> float:
     try:
-        return float(row[key])
+        value = float(row[key])
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad value for {key}: {row[key]!r}") from exc
+    if not math.isfinite(value):
+        raise CliError(f"{path}: non-finite value for {key}: {row[key]!r}")
+    return value
 
 
 def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
@@ -135,12 +143,7 @@ def _cmd_decohere(args) -> list[str]:
         psi = dynamics.analytic_joint_state(t, alpha, spec, cutoff)
         rho_q = dynamics.reduced_qubit_state(psi, 0)
         entropy = analysis.von_neumann_entropy(rho_q)
-        branches = []
-        for k in range(n):
-            ba = dynamics.branch_amplitudes(k, t, spec)
-            vec = np.array([ba.c_g, ba.c_e])
-            branches.append(DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())))
-        disting = analysis.reservoir_distinguishability(branches)
+        disting = analysis.reservoir_distinguishability(dynamics.branch_states(t, spec))
         rows.append(
             (t / NS, abs(dynamics.coherence_factor(t, spec)), entropy, disting)
         )
@@ -267,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_floquet_calib)
 
-    p = sub.add_parser("decohere", help="reservoir decoherence trace")
+    p = sub.add_parser(
+        "decohere",
+        help="reservoir decoherence trace (entropy_bits from the photon-resolved "
+        "branch model, coh_factor_abs and distinguishability from the semiclassical one)",
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--n-qubits", type=int, default=None)
     p.add_argument("--t-max", type=float, default=None, help="ns")

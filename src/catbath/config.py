@@ -96,6 +96,8 @@ def _need(mapping, key, path, kind):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):

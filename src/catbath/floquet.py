@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .hilbert import OperatorMatrix, SpaceLayout, StateVector, evolve_td
+from .hilbert import OperatorMatrix, SpaceLayout, StateVector, annihilation, evolve_td
 
 __all__ = [
     "FloquetParams",
@@ -122,7 +122,7 @@ def stark_shifts(p: FloquetParams, n_max: int = 25) -> tuple[float, float]:
 
 
 def _qubit_boson_ops(cutoff: int):
-    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+    a = annihilation(cutoff).mat
     num = np.diag(np.arange(cutoff, dtype=float)).astype(complex)
     eye_b = np.eye(cutoff)
     pg = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |g><g|
@@ -178,46 +178,30 @@ def stark_compensating_detuning(p: FloquetParams, n_max: int = 25) -> float:
     return 2.0 * s1
 
 
-def swap_frequency(
-    p: FloquetParams,
-    cutoff: int = 3,
-    n_periods: float = 8.0,
-    steps_per_drive_period: int = 40,
-) -> float:
-    """Sideband swap frequency from full propagation of |e,0>.
+def swap_frequency(p: FloquetParams, steps_per_drive_period: int = 40) -> float:
+    """Sideband swap frequency from the one-period Floquet map of |e,0>, |g,1>.
 
-    Propagates under the exact drive, records P_g(t), and locates the
-    oscillation frequency by FFT with parabolic peak refinement.
+    The exact drive is periodic in 2 pi/nu and keeps the manifold
+    {|e,0>, |g,1>} closed.  Its one-period propagator has eigenphases
+    phi_1, phi_2; the quasienergy splitting wrap(phi_1 - phi_2) nu/(2 pi)
+    is the angular swap frequency (Shirley, Phys. Rev. 138, B979, 1965).
     Returns linear frequency in Hz.
     """
-    lam = 2.0 * abs(effective_coupling(p))
-    if lam == 0:
+    if effective_coupling(p) == 0:
         raise ValueError("zero effective coupling; no swap to measure")
-    t_max = n_periods * 2.0 * math.pi / lam
-    dt = 2.0 * math.pi / p.nu / steps_per_drive_period
-    layout = SpaceLayout((2, cutoff))
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[layout.index((1, 0))] = 1.0  # |e,0>
-    psi = StateVector(layout, amps)
-    n_samples = 1024
-    sample_dt = t_max / n_samples
-    pg = np.empty(n_samples + 1)
-    pg[0] = 0.0
-    for k in range(1, n_samples + 1):
+    period = 2.0 * math.pi / p.nu
+    layout = SpaceLayout((2, 2))
+    manifold = [layout.index((1, 0)), layout.index((0, 1))]  # |e,0>, |g,1>
+    columns = []
+    for i in manifold:
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[i] = 1.0
         psi = evolve_td(
-            lambda t, t0=(k - 1) * sample_dt: full_floquet_hamiltonian(p, t0 + t, cutoff),
-            psi,
-            sample_dt,
-            dt,
+            lambda t: full_floquet_hamiltonian(p, t, 2),
+            StateVector(layout, amps),
+            period,
+            period / steps_per_drive_period,
         )
-        pg[k] = abs(psi.amps[layout.index((0, 1))]) ** 2
-    sig = pg - pg.mean()
-    spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
-    k0 = int(np.argmax(spec[1:])) + 1
-    # parabolic interpolation around the peak bin
-    if 1 <= k0 < spec.size - 1:
-        y0, y1, y2 = spec[k0 - 1], spec[k0], spec[k0 + 1]
-        shift = 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
-    else:
-        shift = 0.0
-    return (k0 + shift) / (sig.size * sample_dt)
+        columns.append(psi.amps[manifold])
+    lam = np.linalg.eigvals(np.column_stack(columns))
+    return abs(np.angle(lam[0] * np.conj(lam[1]))) * p.nu / (4.0 * math.pi**2)

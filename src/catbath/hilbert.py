@@ -219,8 +219,7 @@ def displacement(beta: complex, cutoff: int, check_tol: float = 1e-6) -> Operato
     """
     a = annihilation(cutoff).mat
     gen = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
-    w, v = np.linalg.eigh(gen)
-    mat = (v * np.exp(-1j * w)) @ v.conj().T
+    mat = _propagate(*np.linalg.eigh(gen), 1.0)
     op = OperatorMatrix(SpaceLayout((cutoff,)), mat)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -260,13 +259,21 @@ def _require_hermitian(H: OperatorMatrix, rel_tol: float = 1e-9):
         raise ValueError("Hamiltonian is not Hermitian")
 
 
+def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = None):
+    """exp(-iHt) x for H = v diag(w) v^dagger; the propagator itself if x is None.
+
+    `x` may be a vector or a matrix.  Every unitary step in the package
+    goes through here.
+    """
+    vp = v * np.exp(-1j * w * t)
+    return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
+
+
 def evolve(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector:
     """Propagate |psi> by exp(-iHt) via Hermitian eigendecomposition."""
     _check_same_layout(H, psi)
     _require_hermitian(H)
-    w, v = np.linalg.eigh(H.mat)
-    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amps))
-    return StateVector(psi.layout, amps)
+    return StateVector(psi.layout, _propagate(*np.linalg.eigh(H.mat), t, psi.amps))
 
 
 def evolve_td(h_of_t, psi: StateVector, t_end: float, dt: float) -> StateVector:
@@ -284,8 +291,7 @@ def evolve_td(h_of_t, psi: StateVector, t_end: float, dt: float) -> StateVector:
     for k in range(n_steps):
         H = h_of_t((k + 0.5) * step)
         _require_hermitian(H)
-        w, v = np.linalg.eigh(H.mat)
-        amps = v @ (np.exp(-1j * w * step) * (v.conj().T @ amps))
+        amps = _propagate(*np.linalg.eigh(H.mat), step, amps)
     return StateVector(psi.layout, amps)
 
 

@@ -147,12 +147,7 @@ def _disting_trace(n: int, times):
     spec = dynamics.ReservoirSpec(lams, (0.0,) * n, ALPHA**2)
     out = []
     for t in times:
-        branches = []
-        for k in range(n):
-            ba = dynamics.branch_amplitudes(k, t, spec)
-            vec = np.array([ba.c_g, ba.c_e])
-            branches.append(DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())))
-        out.append(analysis.reservoir_distinguishability(branches))
+        out.append(analysis.reservoir_distinguishability(dynamics.branch_states(t, spec)))
     return np.array(out)
 
 

@@ -202,6 +202,34 @@ def test_cli_validation_exit_codes(tmp_path, config_path, capsys):
     assert rc == 1
 
 
+def test_decohere_rejects_nonfinite_config(tmp_path, capsys):
+    import copy
+
+    for bad in (float("nan"), float("inf")):
+        data = copy.deepcopy(CONFIG)
+        data["qubits"][0]["nu_MHz"] = bad
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "dec.csv"
+        rc = main(["decohere", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "qubits[0].nu_MHz" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fit_rabi_rejects_nonfinite_sample(tmp_path, capsys):
+    data = tmp_path / "rabi.csv"
+    data.write_text("tau_ns,pe\n0,0\n10,nan\n20,0.5\n")
+    out = tmp_path / "pn.csv"
+    rc = main(
+        ["fit-rabi", "--data", str(data), "--xi-mhz", "19.8", "--n-max", "4",
+         "--out", str(out)]
+    )
+    assert rc == 1
+    assert "pe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_warning_sidecar(tmp_path):
     # a tiny cutoff triggers truncation warnings; run still succeeds
     data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 12})

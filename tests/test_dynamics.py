@@ -241,14 +241,21 @@ def test_collapse_kills_cross_branch_coherence():
 
 
 def test_block_evolution_matches_dense():
-    spec = table_spec(2)
+    # distinct nonzero detunings catch a detuning put on the wrong qubit
+    lams = table_spec(3).couplings
+    specs = [
+        table_spec(2),
+        ReservoirSpec(lams[:2], (1.5 * MHZ, -0.7 * MHZ), N_MEAN),
+        ReservoirSpec(lams, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ), N_MEAN),
+    ]
     cutoff = 12
-    h = reservoir_hamiltonian(spec, cutoff)
-    psi0 = cat_with_ground_qubits(2.0, spec, cutoff)
-    for t in (9e-9, 27e-9):
-        dense = evolve(h, psi0, t)
-        blocked = evolve_excitation_blocks(spec, psi0, t, cutoff)
-        assert np.linalg.norm(dense.amps - blocked.amps) < 1e-10
+    for spec in specs:
+        h = reservoir_hamiltonian(spec, cutoff)
+        psi0 = cat_with_ground_qubits(2.0, spec, cutoff)
+        for t in (9e-9, 27e-9):
+            dense = evolve(h, psi0, t)
+            blocked = evolve_excitation_blocks(spec, psi0, t, cutoff)
+            assert np.linalg.norm(dense.amps - blocked.amps) < 1e-10
 
 
 def test_block_evolution_n8_runs():
@@ -257,6 +264,12 @@ def test_block_evolution_n8_runs():
     psi0 = cat_with_ground_qubits(2.0, spec, cutoff)
     out = evolve_excitation_blocks(spec, psi0, 10e-9, cutoff)
     assert out.norm == pytest.approx(1.0, abs=1e-10)
+    # population of each excitation number a^dag a + sum_k |e><e|_k is conserved
+    levels = np.unravel_index(np.arange(psi0.layout.dim), psi0.layout.dims)
+    excitation = levels[0] + sum(levels[1:])
+    before = np.bincount(excitation, np.abs(psi0.amps) ** 2)
+    after = np.bincount(excitation, np.abs(out.amps) ** 2)
+    assert np.max(np.abs(after - before)) < 1e-12
 
 
 def test_reduced_states_match_partial_trace():
