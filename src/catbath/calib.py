@@ -1,5 +1,5 @@
-"""Closed-form calibration models: Z-crosstalk, Ramsey shifts,
-detuned Rabi spectra, and ZPA-to-frequency polynomial fits.
+"""Closed-form calibration models: Z-crosstalk, detuned Rabi spectra,
+and ZPA-to-frequency polynomial fits.
 
 Commanded and effective Z-pulse amplitudes are related linearly by a
 correction matrix with unit diagonal and off-diagonal entries given by
@@ -18,7 +18,6 @@ __all__ = [
     "CrosstalkMatrix",
     "assemble_mcor",
     "commanded_amplitudes",
-    "ramsey_frequency",
     "detuned_rabi",
     "fit_zpa_map",
 ]
@@ -79,11 +78,6 @@ def commanded_amplitudes(m: np.ndarray, z_eff: np.ndarray) -> np.ndarray:
             f"solve residual too large (condition ~ {np.linalg.cond(m):.2e})"
         )
     return z_cmd
-
-
-def ramsey_frequency(f_base: float, shift: float) -> float:
-    """Observed Ramsey frequency f_base + shift (Hz in, Hz out)."""
-    return f_base + shift
 
 
 def detuned_rabi(omega: float, delta: float, t: float) -> float:

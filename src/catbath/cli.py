@@ -3,7 +3,10 @@
 Subcommands: prep-cat, floquet-calib, decohere, wigner, fit-rabi,
 disting, crosstalk-solve.  File interfaces use linear MHz and ns;
 everything is converted to angular rad/s internally.  Exit codes:
-0 success, 1 invalid input or configuration, 2 numerical failure.
+0 success, 1 invalid input or configuration (a bad command line
+included), 2 numerical failure.  Float flags must be finite.  CSVs are
+written to a temporary file and renamed into place, so a failed run
+leaves no half-written output.
 Numerical warnings do not fail a run; they are collected into a
 sidecar log next to the main output (``<out>.warnings.log``).
 
@@ -16,8 +19,10 @@ semiclassical ``dynamics.branch_amplitudes``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 import warnings
 
@@ -39,11 +44,22 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    """Write to a temporary file beside `path`, then rename it into place.
+
+    A run that fails part-way leaves either the whole file or none.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_csv(path: str, required: list[str]) -> list[dict]:
@@ -58,6 +74,17 @@ def _read_csv(path: str, required: list[str]) -> list[dict]:
             return list(reader)
     except OSError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
 
 
 def _float_field(row: dict, key: str, path: str) -> float:
@@ -134,6 +161,8 @@ def _cmd_decohere(args) -> list[str]:
     dt = (args.dt if args.dt is not None else cfg.scenario.dt_ns) * NS
     if dt <= 0 or t_max <= 0:
         raise CliError("--t-max and --dt must be positive")
+    if any(t < 0 for t in args.wigner_times or []):
+        raise CliError("--wigner-times must be nonnegative")
     spec = _reservoir_from_config(cfg, n)
     alpha = cfg.scenario.alpha
     cutoff = cfg.cutoff
@@ -176,6 +205,8 @@ def _cmd_wigner(args) -> list[str]:
     cat = catprep.make_amplitude_cat(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
     rho = density_from_state(cat)
     if args.time is not None:
+        if args.time < 0:
+            raise CliError("--time must be nonnegative")
         rspec = _reservoir_from_config(cfg, cfg.scenario.n_qubits)
         psi = dynamics.analytic_joint_state(
             args.time * NS, cfg.scenario.alpha, rspec, cfg.cutoff
@@ -193,6 +224,8 @@ def _cmd_fit_rabi(args) -> list[str]:
     rows = _read_csv(args.data, ["tau_ns", "pe"])
     taus = np.array([_float_field(r, "tau_ns", args.data) for r in rows]) * NS
     pe = np.array([_float_field(r, "pe", args.data) for r in rows])
+    if args.noise < 0:
+        raise CliError("--noise must be nonnegative")
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
         pe = pe + rng.normal(0.0, args.noise, pe.shape)
@@ -251,8 +284,16 @@ def _cmd_crosstalk_solve(args) -> list[str]:
 # ---------------------------------------------------------------- plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line with exit code 1 (invalid input)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catbath",
         description="Cat-state decoherence simulator: preparation, Floquet "
         "calibration, reservoir dynamics, tomography, and analysis.",
@@ -277,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True)
     p.add_argument("--n-qubits", type=int, default=None)
-    p.add_argument("--t-max", type=float, default=None, help="ns")
-    p.add_argument("--dt", type=float, default=None, help="ns")
+    p.add_argument("--t-max", type=_finite_float, default=None, help="ns")
+    p.add_argument("--dt", type=_finite_float, default=None, help="ns")
     p.add_argument("--out", required=True)
     p.add_argument(
         "--wigner-times",
-        type=float,
+        type=_finite_float,
         nargs="*",
         default=None,
         metavar="T_NS",
@@ -292,16 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="Wigner map of the prepared cat")
     p.add_argument("--config", required=True)
-    p.add_argument("--time", type=float, default=None, help="ns of reservoir evolution")
-    p.add_argument("--theta", type=float, default=0.0, help="derotation angle, rad")
+    p.add_argument("--time", type=_finite_float, default=None, help="ns of reservoir evolution")
+    p.add_argument("--theta", type=_finite_float, default=0.0, help="derotation angle, rad")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wigner)
 
     p = sub.add_parser("fit-rabi", help="invert a Rabi trace into photon numbers")
     p.add_argument("--data", required=True, help="CSV: tau_ns,pe")
-    p.add_argument("--xi-mhz", type=float, required=True)
+    p.add_argument("--xi-mhz", type=_finite_float, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.0, help="add Gaussian noise of this sigma")
+    p.add_argument("--noise", type=_finite_float, default=0.0, help="add Gaussian noise of this sigma")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_rabi)

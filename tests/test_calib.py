@@ -11,7 +11,6 @@ from catbath.calib import (
     commanded_amplitudes,
     detuned_rabi,
     fit_zpa_map,
-    ramsey_frequency,
 )
 
 
@@ -61,14 +60,6 @@ def test_commanded_amplitudes_random_roundtrip(rng):
         assert np.linalg.norm(m @ z_cmd - z_eff) < 1e-12
     with pytest.raises(ValueError):
         commanded_amplitudes(np.zeros((2, 2)), np.array([1.0, 0.0]))
-
-
-def test_ramsey_frequency():
-    assert ramsey_frequency(5e6, 0.0) == 5e6
-    assert ramsey_frequency(5e6, 1.2e6) == 6.2e6
-    # compensated shift restores the baseline
-    shift = 1.2e6
-    assert ramsey_frequency(5e6, shift - shift) == 5e6
 
 
 def test_detuned_rabi_values():

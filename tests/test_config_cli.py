@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from catbath.cli import main
+from catbath.cli import _write_csv, main
 from catbath.config import MHZ, NS, ConfigError, load_config, parse_config
 from catbath.tomography import synthesize_rabi
 
@@ -244,3 +244,77 @@ def test_cli_warning_sidecar(tmp_path):
     sidecar = tmp_path / "dec.csv.warnings.log"
     assert sidecar.exists()
     assert "Truncation" in sidecar.read_text()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [(f, v) for f in ("--t-max", "--dt", "--wigner-times", "--time", "--theta",
+                      "--xi-mhz", "--noise") for v in ("nan", "inf", "-inf")],
+)
+def test_nonfinite_float_flag_exits_1(tmp_path, config_path, capsys, flag, value):
+    out = tmp_path / "out.csv"
+    if flag in ("--t-max", "--dt", "--wigner-times"):
+        argv = ["decohere", "--config", config_path, "--out", str(out)]
+    elif flag in ("--time", "--theta"):
+        argv = ["wigner", "--config", config_path, "--out", str(out)]
+    else:
+        argv = ["fit-rabi", "--data", str(tmp_path / "rabi.csv"), "--n-max", "4",
+                "--out", str(out)]
+        if flag != "--xi-mhz":
+            argv += ["--xi-mhz", "19.8"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}={value}"])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.glob("out.csv*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--time", "-5"],
+        ["decohere", "--t-max", "10", "--dt", "5", "--wigner-times", "3", "-2"],
+    ],
+)
+def test_negative_time_flag_exits_1(tmp_path, config_path, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", config_path, "--out", str(out)]) == 1
+    assert list(tmp_path.glob("out.csv*")) == []
+
+
+def test_fit_rabi_rejects_negative_noise(tmp_path):
+    data = tmp_path / "rabi.csv"
+    data.write_text("tau_ns,pe\n0,0\n10,0.2\n20,0.5\n")
+    out = tmp_path / "pn.csv"
+    rc = main(
+        ["fit-rabi", "--data", str(data), "--xi-mhz", "19.8", "--n-max", "1",
+         "--noise", "-0.01", "--out", str(out)]
+    )
+    assert rc == 1
+    assert not out.exists()
+
+
+def test_write_csv_is_atomic(tmp_path):
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), ["a"], [(1.0,)])
+
+    def rows():
+        yield (2.0,)
+        raise ArithmeticError("failed mid-write")
+
+    with pytest.raises(ArithmeticError):
+        _write_csv(str(path), ["a"], rows())
+    # the earlier file is untouched and no temporary file is left behind
+    assert path.read_text() == "a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    with pytest.raises(ArithmeticError):
+        _write_csv(str(tmp_path / "new.csv"), ["a"], rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_wigner_cli_map_is_finite(tmp_path, config_path):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", config_path, "--time", "20", "--theta", "0.7",
+                 "--out", str(out)]) == 0
+    w = np.array([float(r["w"]) for r in read_rows(out)])
+    assert w.size == 15 and np.all(np.isfinite(w))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from catbath import dynamics
 from catbath.hilbert import (
     DensityMatrix,
     SpaceLayout,
@@ -29,12 +31,6 @@ from conftest import MHZ, NS
 
 XI = 19.8 * MHZ
 TWO_OVER_PI = 2.0 / math.pi
-
-# marginal displaced-parity cutoffs trip the truncation reporter; the
-# values themselves are checked against oracles below
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::catbath.hilbert.TruncationWarning"
-)
 
 
 def fock_density(n: int, cutoff: int) -> DensityMatrix:
@@ -252,3 +248,67 @@ def test_wigner_bound_random_states(seed):
     rho = DensityMatrix(SpaceLayout((8,)), m)
     beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     assert abs(wigner_point(rho, beta)) <= TWO_OVER_PI + 1e-9
+
+
+def laguerre_wigner(rho: np.ndarray, beta: complex) -> float:
+    """Independent oracle: the closed-form sum with scipy's Laguerre
+    polynomials and log-gamma factorials, term by term."""
+    x = 4.0 * abs(beta) ** 2
+    total = 0.0
+    for m in range(rho.shape[0]):
+        for n in range(m, rho.shape[0]):
+            coef = (
+                (-1) ** m
+                * (2.0 * beta) ** (n - m)
+                * math.exp(0.5 * (math.lgamma(m + 1.0) - math.lgamma(n + 1.0)) - x / 2.0)
+                * special.eval_genlaguerre(m, n - m, x)
+            )
+            total += (1.0 if m == n else 2.0) * (rho[m, n] * coef).real
+    return TWO_OVER_PI * total
+
+
+def test_wigner_map_far_corners_match_laguerre_oracle():
+    # mixed, complex-coherence field state with weight near the cutoff,
+    # where a truncated displacement operator is off by up to 1e-4:
+    # one reservoir qubit, lambda/2pi = 8.1 MHz, delta/2pi = 1.5 MHz,
+    # 23 ns, derotated by 0.7 rad
+    spec = dynamics.ReservoirSpec((8.1 * MHZ,), (1.5 * MHZ,), 3.3**2)
+    psi = dynamics.analytic_joint_state(23 * NS, 3.3, spec, 40)
+    rho = derotate(dynamics.reduced_field_state(psi), 0.7)
+    assert np.linalg.eigvalsh(rho.mat)[-2] > 0.01  # mixed
+    assert np.abs(np.imag(rho.mat)).max() > 0.01  # complex coherences
+    re = np.array([-1.5, 1.5, 4.5])
+    im = np.array([-2.5, 0.0, 2.5])
+    wm = wigner_map(rho, re, im)
+    for i, x in enumerate(re):
+        for j, y in enumerate(im):
+            ref = laguerre_wigner(rho.mat, complex(x, y))
+            assert abs(wm.values[i, j] - ref) < 1e-12
+            assert abs(wigner_point(rho, complex(x, y)) - ref) < 1e-12
+
+
+def random_density(seed: int, dim: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    rank = rng.integers(1, dim + 1)
+    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = m @ m.conj().T
+    return DensityMatrix(SpaceLayout((dim,)), m / np.trace(m).real)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6))
+def test_wigner_properties_random_states(seed, dim):
+    rho = random_density(seed, dim)
+    # the grid holds the state: W of a dim <= 6 state is below 1e-20 at |beta| = 6
+    grid = np.linspace(-6.0, 6.0, 121)
+    wm = wigner_map(rho, grid, grid)
+    step = grid[1] - grid[0]
+    assert wm.values.sum() * step**2 == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(wm.values)) <= TWO_OVER_PI + 1e-12
+    parity = np.sum((-1.0) ** np.arange(dim) * np.real(np.diag(rho.mat)))
+    assert wigner_point(rho, 0.0) == pytest.approx(TWO_OVER_PI * parity, abs=1e-12)
+
+
+def test_wigner_map_rejects_nonfinite_values():
+    with pytest.raises(ValueError, match="finite"):
+        WignerMap(np.array([0.0, 1.0]), np.array([0.0]), np.array([[0.1], [np.nan]]))
