@@ -8,7 +8,8 @@ included), 2 numerical failure.  Float flags must be finite.  CSVs are
 written to a temporary file and renamed into place, so a failed run
 leaves no half-written output.
 Numerical warnings do not fail a run; they are collected into a
-sidecar log next to the main output (``<out>.warnings.log``).
+sidecar log next to the main output (``<out>.warnings.log``), one line
+per kind of warning with its count and its first and last message.
 
 The ``decohere`` columns come from two models: ``entropy_bits`` from
 the photon-resolved ``dynamics.analytic_joint_state``, while
@@ -23,6 +24,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -226,6 +228,10 @@ def _cmd_fit_rabi(args) -> list[str]:
     pe = np.array([_float_field(r, "pe", args.data) for r in rows])
     if args.noise < 0:
         raise CliError("--noise must be nonnegative")
+    if args.xi_mhz <= 0:
+        raise CliError("--xi-mhz must be positive")
+    if args.n_max < 0:
+        raise CliError("--n-max must be nonnegative")
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
         pe = pe + rng.normal(0.0, args.noise, pe.shape)
@@ -248,7 +254,10 @@ def _cmd_disting(args) -> list[str]:
             ]
         )
         branches.append(DensityMatrix(SpaceLayout((2,)), mat))
-    d = analysis.reservoir_distinguishability(branches)
+    try:
+        d = analysis.reservoir_distinguishability(branches)
+    except ValueError as exc:  # every branch comes from the file
+        raise CliError(f"{args.branches}: {exc}") from exc
     print(_fmt(d))
     return []
 
@@ -360,6 +369,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _group_warnings(caught) -> list[str]:
+    """One line per kind of warning, in order of first appearance.
+
+    A kind is the category plus the message with its numbers masked, so
+    a warning repeated at every time step with a new value is one line:
+    its count, its first message and its last.
+    """
+    kinds: dict[tuple[str, str], tuple[int, str, str]] = {}
+    for w in caught:
+        text = str(w.message)
+        key = (w.category.__name__, _NUMBER.sub("#", text))
+        count, first, _ = kinds.get(key, (0, text, text))
+        kinds[key] = (count + 1, first, text)
+    return [
+        f"{category} x{count}: {first}" + (f" | last: {last}" if count > 1 else "")
+        for (category, _), (count, first, last) in kinds.items()
+    ]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -374,7 +405,7 @@ def main(argv=None) -> int:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
     if caught:
-        lines = [f"{w.category.__name__}: {w.message}" for w in caught]
+        lines = _group_warnings(caught)
         if outputs:
             with open(f"{outputs[0]}.warnings.log", "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")

@@ -127,7 +127,7 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int, kkt_tol: float = 1e-8) -> n
     a = _design_matrix(trace, n_max)
     b = 0.5 - trace.pe
     # span check: at least 2 periods of the slowest nonzero tone
-    slowest = 2.0 * trace.xi  # n = 1
+    slowest = 2.0 * abs(trace.xi)  # n = 1
     span = trace.taus.max() - trace.taus.min()
     cond = np.linalg.cond(a)
     if span * slowest < 2.0 * 2.0 * math.pi or cond > 1e8:

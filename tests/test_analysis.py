@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from catbath.analysis import (
 from catbath.dynamics import ReservoirSpec, branch_amplitudes
 from catbath.hilbert import DensityMatrix, SpaceLayout, StateVector, density_from_state
 
-from conftest import MHZ
+from conftest import LAMBDA_HALF_TABLE, MHZ, NS
 
 Q = SpaceLayout((2,))
 GG = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -149,10 +151,98 @@ def test_reservoir_distinguishability_edges():
     rng = np.random.default_rng(5)
     branches = [DensityMatrix(Q, EE)] + [random_qubit_state(rng) for _ in range(3)]
     assert reservoir_distinguishability(branches) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        reservoir_distinguishability([DensityMatrix(Q, GG)] * 13)
+    # no 2^N x 2^N matrix is formed, so large registers run: D against the
+    # pure-branch closed form at N = 13 and N = 20
+    for n in (13, 20):
+        branches, prod = _pure_branches(_table_spec(n), 3e-9)
+        d = reservoir_distinguishability(branches)
+        assert d == pytest.approx(math.sqrt(1 - prod), abs=1e-12)
     with pytest.raises(ValueError):
         reservoir_distinguishability([])
+
+
+def _kron_oracle(branches) -> float:
+    """Dense trace distance between the kron product and |g...g><g...g|."""
+    layout = SpaceLayout((2,) * len(branches))
+    rho = functools.reduce(np.kron, [b.mat for b in branches])
+    ground = functools.reduce(np.kron, [GG] * len(branches))
+    return trace_distance(DensityMatrix(layout, rho), DensityMatrix(layout, ground))
+
+
+def _table_spec(n: int) -> ReservoirSpec:
+    lams = [2.0 * LAMBDA_HALF_TABLE[k % 8] * MHZ for k in range(n)]
+    return ReservoirSpec(tuple(lams), (0.0,) * n, 3.3**2)
+
+
+def _pure_branches(spec: ReservoirSpec, t: float):
+    """Branch states at t and prod_k |c_g|^2 from their amplitudes."""
+    amps = [branch_amplitudes(k, t, spec) for k in range(spec.n_qubits)]
+    prod = math.prod(abs(ba.c_g) ** 2 for ba in amps)
+    return [pure([ba.c_g, ba.c_e]) for ba in amps], prod
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6))
+def test_distinguishability_matches_kron_oracle(seed, n):
+    # random mixed, pure and near-ground branches against the dense path
+    rng = np.random.default_rng(seed)
+    branches = []
+    for _ in range(n):
+        kind = rng.integers(3)
+        if kind == 0:
+            rho = random_qubit_state(rng)
+        elif kind == 1:
+            rho = pure(rng.normal(size=2) + 1j * rng.normal(size=2))
+        else:
+            mat = GG + 1e-6 * rng.random() * random_qubit_state(rng).mat
+            rho = DensityMatrix(Q, mat / np.trace(mat).real)
+        branches.append(rho)
+    d = reservoir_distinguishability(branches)
+    assert abs(d - _kron_oracle(branches)) < 1e-12
+
+
+def test_distinguishability_pure_closed_form_n8():
+    # the time grid of `catbath decohere --n-qubits 8 --t-max 200 --dt 0.5`
+    spec = _table_spec(8)
+    worst = 0.0
+    for t in np.arange(0.0, 200.25, 0.5) * NS:
+        branches, prod = _pure_branches(spec, t)
+        worst = max(worst, abs(reservoir_distinguishability(branches) - math.sqrt(1 - prod)))
+    assert worst < 1e-12
+
+
+def test_distinguishability_exact_edges():
+    ground, excited = DensityMatrix(Q, GG), DensityMatrix(Q, EE)
+    assert reservoir_distinguishability([ground] * 8) == 0.0
+    rng = np.random.default_rng(7)
+    others = [random_qubit_state(rng) for _ in range(5)]
+    assert reservoir_distinguishability(others[:2] + [excited] + others[2:]) == 1.0
+    assert reservoir_distinguishability([ground] * 3 + [excited]) == 1.0
+
+
+def test_distinguishability_rejects_unphysical_branch():
+    bad = DensityMatrix(Q, np.diag([1.1, -0.1]).astype(complex))
+    with pytest.raises(ValueError, match="qubit 2"):
+        reservoir_distinguishability([DensityMatrix(Q, GG)] * 2 + [bad])
+    with pytest.raises(ValueError, match="qubit 0"):
+        reservoir_distinguishability([DensityMatrix(Q, np.array([[1, 1], [0, 0]]))])
+    with pytest.raises(ValueError, match="qubit 1"):
+        reservoir_distinguishability([DensityMatrix(Q, GG), DensityMatrix(Q, 0.4 * GG)])
+
+
+def test_distinguishability_emits_no_warnings():
+    rng = np.random.default_rng(11)
+    cases = [
+        [DensityMatrix(Q, GG)] * 4,
+        [DensityMatrix(Q, EE), random_qubit_state(rng)],
+        [pure([1.0, 1e-9])] * 3,
+        [random_qubit_state(rng) for _ in range(6)],
+        _pure_branches(_table_spec(8), 37e-9)[0],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for branches in cases:
+            assert 0.0 <= reservoir_distinguishability(branches) <= 1.0
 
 
 def test_distinguishability_product_identity(rng):

@@ -9,6 +9,8 @@ from catbath.cli import _write_csv, main
 from catbath.config import MHZ, NS, ConfigError, load_config, parse_config
 from catbath.tomography import synthesize_rabi
 
+from conftest import DRIVE_TABLE
+
 CONFIG = {
     "resonator": {"omega_s_MHz": 5796.0, "cutoff": 24},
     "ancilla": {"xi_MHz": 19.8},
@@ -170,6 +172,19 @@ def test_disting_cli(tmp_path, capsys):
     assert printed == pytest.approx(math.sqrt(1 - 0.5), abs=1e-9)
 
 
+def test_disting_rejects_unphysical_branch(tmp_path, capsys):
+    path = tmp_path / "branches.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["qubit", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"])
+        w.writerow(["R1", 1, 0, 0, 0, 0, 0, 0, 0])
+        w.writerow(["R2", 1.1, 0, 0, 0, 0, 0, -0.1, 0])  # eigenvalue -0.1
+    assert main(["disting", "--branches", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qubit 1" in captured.err and "negative eigenvalue" in captured.err
+
+
 def test_crosstalk_cli(tmp_path):
     coeffs = tmp_path / "c.csv"
     targets = tmp_path / "t.csv"
@@ -292,6 +307,44 @@ def test_fit_rabi_rejects_negative_noise(tmp_path):
     )
     assert rc == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--xi-mhz", "0"), ("--xi-mhz", "-19.8"), ("--n-max", "-1")]
+)
+def test_fit_rabi_rejects_out_of_range_flag(tmp_path, capsys, flag, value):
+    trace = synthesize_rabi(np.array([0.2, 0.5, 0.3]), 19.8 * MHZ,
+                            np.linspace(0, 300, 240) * NS)
+    data = tmp_path / "rabi.csv"
+    _write_csv(str(data), ["tau_ns", "pe"], zip(trace.taus / NS, trace.pe))
+    out = tmp_path / "pn.csv"
+    argv = {"--xi-mhz": "19.8", "--n-max": "4", flag: value}
+    rc = main(["fit-rabi", "--data", str(data), "--out", str(out)]
+              + [x for kv in argv.items() for x in kv])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.glob("pn.csv*")) == []
+
+
+def test_warnings_log_groups_by_kind(tmp_path):
+    # 388 of the 401 points strain the branch model at N = 8: one line, counted
+    qubits = [
+        {"name": name, "xi_MHz": xi, "eps_MHz": eps, "nu_MHz": nu, "K_MHz": k}
+        for name, xi, eps, nu, k in DRIVE_TABLE
+    ]
+    data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 40}, qubits=qubits)
+    path = tmp_path / "n8.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dec.csv"
+    rc = main(["decohere", "--config", str(path), "--n-qubits", "8", "--t-max", "200",
+               "--dt", "0.5", "--out", str(out)])
+    assert rc == 0
+    assert len(read_rows(out)) == 401
+    lines = (tmp_path / "dec.csv.warnings.log").read_text().splitlines()
+    strained = [line for line in lines if "branch model is strained" in line]
+    assert len(strained) == 1
+    assert strained[0].startswith("UserWarning x388: qubit excitation 1.140 ")
+    assert "last: qubit excitation 4.006 " in strained[0]
 
 
 def test_write_csv_is_atomic(tmp_path):

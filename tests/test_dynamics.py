@@ -23,6 +23,7 @@ from catbath.dynamics import (
 )
 from catbath.hilbert import (
     SpaceLayout,
+    StateVector,
     TruncationWarning,
     coherent_state,
     evolve,
@@ -270,6 +271,35 @@ def test_block_evolution_n8_runs():
     before = np.bincount(excitation, np.abs(psi0.amps) ** 2)
     after = np.bincount(excitation, np.abs(out.amps) ** 2)
     assert np.max(np.abs(after - before)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 3),
+    st.integers(2, 12),
+    st.floats(0.0, 100.0),
+)
+def test_block_engine_properties(seed, n, cutoff, t_ns):
+    # random couplings, detunings and initial state: the block engine is
+    # unitary, conserves each excitation number and matches dense evolve
+    rng = np.random.default_rng(seed)
+    spec = ReservoirSpec(
+        tuple(rng.uniform(2.0, 10.0, n) * MHZ), tuple(rng.uniform(-5.0, 5.0, n) * MHZ),
+        N_MEAN,
+    )
+    layout = SpaceLayout((cutoff,) + (2,) * n)
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    psi0 = StateVector(layout, amps / np.linalg.norm(amps))
+    out = evolve_excitation_blocks(spec, psi0, t_ns * NS, cutoff)
+    assert abs(out.norm - 1.0) < 1e-12
+    levels = np.unravel_index(np.arange(layout.dim), layout.dims)
+    excitation = levels[0] + sum(levels[1:])
+    before = np.bincount(excitation, np.abs(psi0.amps) ** 2)
+    after = np.bincount(excitation, np.abs(out.amps) ** 2)
+    assert np.max(np.abs(after - before)) < 1e-12
+    dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, t_ns * NS)
+    assert np.max(np.abs(dense.amps - out.amps)) < 1e-12
 
 
 def test_reduced_states_match_partial_trace():

@@ -158,6 +158,16 @@ def test_fit_warns_on_short_span():
         fit_photon_numbers(tr, 6)
 
 
+def test_fit_span_check_ignores_sign_of_xi():
+    # a long trace conditions the fit whichever way the drive is signed
+    taus = np.linspace(0, 1000, 400) * NS
+    tr = synthesize_rabi(np.array([0.2, 0.5, 0.3]), XI, taus)
+    flipped = RabiTrace(tr.taus, tr.pe, -XI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(fit_photon_numbers(flipped, 4), fit_photon_numbers(tr, 4))
+
+
 def test_wigner_vacuum_and_coherent():
     assert wigner_point(fock_density(0, 20), 0.0) == pytest.approx(
         TWO_OVER_PI, abs=1e-9
