@@ -16,7 +16,7 @@ import numpy as np
 
 from catbath import catprep, tomography
 from catbath.config import MHZ
-from catbath.hilbert import TruncationWarning, density_from_state, fidelity
+from catbath.hilbert import TruncationWarning, density_from_state
 
 
 def main():

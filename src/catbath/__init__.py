@@ -8,7 +8,7 @@ Modules:
     dynamics   N-qubit reservoir evolution, exact and branch model
     tomography photon-number readout and Wigner reconstruction
     analysis   distinguishability, entropy, branch reconstruction
-    calib      crosstalk, detuned Rabi, ZPA-map fits
+    calib      Z-crosstalk compensation
     cli        scenario runner
 """
 

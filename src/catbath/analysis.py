@@ -20,14 +20,12 @@ negative eigenvalues, then renormalize the trace).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import DensityMatrix
 
 __all__ = [
-    "BranchPair",
     "trace_distance",
     "von_neumann_entropy",
     "branch_from_tomo",
@@ -36,18 +34,6 @@ __all__ = [
 ]
 
 _GG = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class BranchPair:
-    """Reservoir states conditioned on the vacuum and |alpha> branches."""
-
-    rho_vac: DensityMatrix
-    rho_alpha: DensityMatrix
-
-    def __post_init__(self):
-        if self.rho_vac.layout != self.rho_alpha.layout:
-            raise ValueError("branch states must share a layout")
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

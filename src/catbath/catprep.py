@@ -22,10 +22,8 @@ from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
-    _propagate,
     annihilation,
     displacement,
-    embed,
     evolve,
 )
 
@@ -42,6 +40,8 @@ __all__ = [
 ]
 
 _X_PI = np.array([[0.0, -1j], [-1j, 0.0]])  # exp(-i pi/2 sigma_x)
+# amplitudes below this count as empty in backward_angles
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class ProtocolStep:
     n: int
     theta: float  # rad
     t: float  # s
-    rotation: str = "x_pi"
 
 
 def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -> np.ndarray:
@@ -103,12 +102,12 @@ def jc_hamiltonian(xi: float, cutoff: int) -> OperatorMatrix:
     a = annihilation(cutoff).mat
     sig_p = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     term = xi * np.kron(sig_p, a)
-    return OperatorMatrix(layout, term + term.conj().T, hermitian=True)
+    return OperatorMatrix(layout, term + term.conj().T)
 
 
 def x_pi(layout: SpaceLayout) -> OperatorMatrix:
     """Global qubit flip exp(-i pi/2 sigma_x) on a qubit (x) boson layout."""
-    return embed(OperatorMatrix(SpaceLayout((2,)), _X_PI), 0, layout)
+    return OperatorMatrix(layout, np.kron(_X_PI, np.eye(layout.dims[1])))
 
 
 def _protocol_layout(spec: CatSpec) -> SpaceLayout:
@@ -123,7 +122,7 @@ def target_state(spec: CatSpec) -> StateVector:
     return StateVector(_protocol_layout(spec), amps)
 
 
-def backward_angles(spec: CatSpec, xi: float, zero_tol: float = 1e-12) -> list[ProtocolStep]:
+def backward_angles(spec: CatSpec, xi: float) -> list[ProtocolStep]:
     """Swap angles that eliminate the target manifold by manifold.
 
     Sweeping n = N*..1 over the current state, theta_n = pi/2 +
@@ -145,9 +144,9 @@ def backward_angles(spec: CatSpec, xi: float, zero_tol: float = 1e-12) -> list[P
     for n in range(n_star, 0, -1):
         a_g = psi.amps[layout.index((0, n))]
         a_e = psi.amps[layout.index((1, n - 1))]
-        if abs(a_g) < zero_tol and abs(a_e) < zero_tol:
+        if abs(a_g) < _ZERO_TOL and abs(a_e) < _ZERO_TOL:
             continue
-        if abs(a_g) < zero_tol:
+        if abs(a_g) < _ZERO_TOL:
             theta = math.pi / 2.0
         else:
             ratio = a_e / (1j * a_g)
@@ -163,13 +162,13 @@ def apply_sequence(
     steps: list[ProtocolStep],
     psi0: StateVector,
     direction: str = "forward",
-    xi: float | None = None,
+    *,
+    xi: float,
 ) -> StateVector:
     """Apply the swap/flip sequence in forward or backward order.
 
     Forward applies Q_1 S_1 ... Q_N S_N (vacuum in, target out);
     backward applies S_N Q_N ... S_1 Q_1 (target in, vacuum out).
-    The coupling defaults to the one implied by the steps' durations.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -178,10 +177,6 @@ def apply_sequence(
         raise ValueError("sequence requires a qubit (x) boson layout")
     if steps and layout.dims[1] < max(s.n for s in steps) + 1:
         raise ValueError("boson cutoff too small for the sequence")
-    if xi is None:
-        if not steps:
-            return psi0
-        xi = steps[0].theta / (math.sqrt(steps[0].n) * steps[0].t)
     h_jc = jc_hamiltonian(xi, layout.dims[1])
     flip = x_pi(layout)
     psi = psi0
@@ -194,16 +189,6 @@ def apply_sequence(
             psi = evolve(h_jc, psi, step.t)
             psi = StateVector(layout, flip.mat @ psi.amps)
     return psi
-
-
-def sequence_unitary(steps: list[ProtocolStep], layout: SpaceLayout, xi: float) -> np.ndarray:
-    """Matrix of the forward composition S_N Q_N ... S_1 Q_1."""
-    w, v = np.linalg.eigh(jc_hamiltonian(xi, layout.dims[1]).mat)
-    flip = x_pi(layout).mat
-    u = np.eye(layout.dim, dtype=complex)
-    for step in reversed(steps):
-        u = _propagate(w, v, step.t, flip @ u)
-    return u
 
 
 def make_amplitude_cat(spec: CatSpec, cutoff: int, xi: float = 1.0) -> StateVector:

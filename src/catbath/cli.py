@@ -230,8 +230,13 @@ def _cmd_fit_rabi(args) -> list[str]:
         raise CliError("--noise must be nonnegative")
     if args.xi_mhz <= 0:
         raise CliError("--xi-mhz must be positive")
-    if args.n_max < 0:
-        raise CliError("--n-max must be nonnegative")
+    if not 0 <= args.n_max <= tomography.N_MAX_LIMIT:
+        raise CliError(f"--n-max must be between 0 and {tomography.N_MAX_LIMIT}")
+    if len(rows) < args.n_max + 2:
+        raise CliError(
+            f"--n-max {args.n_max} needs at least {args.n_max + 2} samples, "
+            f"{args.data} has {len(rows)}"
+        )
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
         pe = pe + rng.normal(0.0, args.noise, pe.shape)

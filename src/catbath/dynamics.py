@@ -50,7 +50,6 @@ __all__ = [
     "branch_states",
     "analytic_joint_state",
     "coherence_factor",
-    "backaction_rotation_rate",
     "evolve_excitation_blocks",
     "cat_with_ground_qubits",
     "reduced_qubit_state",
@@ -125,7 +124,7 @@ def reservoir_hamiltonian(spec: ReservoirSpec, cutoff: int) -> OperatorMatrix:
             diag_k = np.kron(diag_k, pe if j == k else eye2)
         half = spec.couplings[k] / 2.0
         mat += half * (raise_k + raise_k.conj().T) + spec.detunings[k] * diag_k
-    return OperatorMatrix(layout, mat, hermitian=True)
+    return OperatorMatrix(layout, mat)
 
 
 def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes:
@@ -206,8 +205,8 @@ def analytic_joint_state(
     rate of the initial photon number, ignoring that a photon taken by
     one qubit lowers the rate the others see.  Linearizing sqrt(n)
     about <n> recovers the back-action field rotation
-    lambda_k^2 / (4 Omega_k) (see backaction_rotation_rate).  Warns when
-    the excitation leaked to the qubits is no longer small against <n>.
+    lambda_k^2 / (4 Omega_k).  Warns when the excitation leaked to the
+    qubits is no longer small against <n>.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -252,20 +251,6 @@ def coherence_factor(t: float, spec: ReservoirSpec) -> complex:
     for k in range(spec.n_qubits):
         out *= branch_amplitudes(k, t, spec).c_g
     return out
-
-
-def backaction_rotation_rate(spec: ReservoirSpec, k: int) -> float:
-    """Field-phase rotation rate omega_k = lambda_k^2 / (4 Omega_k).
-
-    The linearization of sqrt(n) about <n> in analytic_joint_state.
-    """
-    lam = spec.couplings[k]
-    if lam == 0.0:
-        return 0.0
-    omega = branch_amplitudes(k, 0.0, spec).omega_k
-    if omega == 0.0:
-        raise ValueError("Omega_k = 0; rotation rate undefined")
-    return lam**2 / (4.0 * omega)
 
 
 def evolve_excitation_blocks(

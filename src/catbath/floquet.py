@@ -4,9 +4,10 @@ Sinusoidal modulation of a qubit at frequency nu with amplitude eps
 creates sidebands at multiples of nu; the first sideband provides an
 effective resonant exchange with the bus resonator of strength
 lambda/2 = J1(eps/nu) xi, while the off-resonant harmonics produce AC
-Stark shifts S1 and S2.  The module computes the effective model and
-the full time-dependent interaction Hamiltonian so the two can be
-cross-checked by propagation.
+Stark shifts S1 and S2.  The module computes the coupling and the
+shifts in closed form, the full time-dependent interaction Hamiltonian,
+and the swap frequency from the one-period Floquet map of that
+Hamiltonian.
 
 Layouts are qubit (x) boson, qubit first.
 """
@@ -27,11 +28,13 @@ __all__ = [
     "bessel_j",
     "effective_coupling",
     "stark_shifts",
-    "effective_hamiltonian",
     "full_floquet_hamiltonian",
     "stark_compensating_detuning",
     "swap_frequency",
 ]
+
+# midpoint steps per drive period in swap_frequency
+_STEPS_PER_DRIVE_PERIOD = 40
 
 
 @dataclass(frozen=True)
@@ -121,70 +124,41 @@ def stark_shifts(p: FloquetParams, n_max: int = 25) -> tuple[float, float]:
     return s1, s2
 
 
-def _qubit_boson_ops(cutoff: int):
-    a = annihilation(cutoff).mat
-    num = np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-    eye_b = np.eye(cutoff)
-    pg = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |g><g|
-    pe = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |e><e|
-    sge = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    return a, num, eye_b, pg, pe, sge
-
-
-def effective_hamiltonian(p: FloquetParams, cutoff: int, n_max: int = 25) -> OperatorMatrix:
-    """Time-independent sideband model on qubit (x) boson.
-
-    H_eff = (lambda/2)(a^dag |g><e| + h.c.)
-          + S1 (|g><g| - |e><e|) a^dag a - S1 |e><e| + S2 |e><e| a^dag a
-          + delta |e><e|
-    """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
-    lam_half = effective_coupling(p)
-    s1, s2 = stark_shifts(p, n_max)
-    a, num, eye_b, pg, pe, sge = _qubit_boson_ops(cutoff)
-    ex = lam_half * np.kron(sge, a.conj().T)
-    mat = (
-        ex
-        + ex.conj().T
-        + s1 * np.kron(pg - pe, num)
-        - s1 * np.kron(pe, eye_b)
-        + s2 * np.kron(pe, num)
-        + p.delta * np.kron(pe, eye_b)
-    )
-    return OperatorMatrix(SpaceLayout((2, cutoff)), mat, hermitian=True)
-
-
 def full_floquet_hamiltonian(p: FloquetParams, t: float, cutoff: int) -> OperatorMatrix:
     """Exact interaction-picture Hamiltonian under the modulation drive.
 
     H'(t) = xi exp(-i mu sin(nu t)) exp(i nu t) a^dag |g><e| + h.c.
           + delta |e><e|
     """
-    a, _, eye_b, _, pe, sge = _qubit_boson_ops(cutoff)
+    a = annihilation(cutoff).mat
+    eye_b = np.eye(cutoff)
+    pe = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |e><e|
+    sge = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
     coeff = p.xi * np.exp(-1j * p.mu * math.sin(p.nu * t)) * np.exp(1j * p.nu * t)
     term = coeff * np.kron(sge, a.conj().T)
     mat = term + term.conj().T + p.delta * np.kron(pe, eye_b)
-    return OperatorMatrix(SpaceLayout((2, cutoff)), mat, hermitian=True)
+    return OperatorMatrix(SpaceLayout((2, cutoff)), mat)
 
 
-def stark_compensating_detuning(p: FloquetParams, n_max: int = 25) -> float:
+def stark_compensating_detuning(p: FloquetParams) -> float:
     """Detuning that realigns |e,0> with |g,1> against the Stark shifts.
 
-    The effective model places |e,0> at -S1 and |g,1> at +S1, so an
-    extra 2 S1 on |e><e| restores the resonance of the sideband swap.
+    The rotating-wave sideband model places |e,0> at -S1 and |g,1> at
+    +S1, so an extra 2 S1 on |e><e| restores the resonance of the
+    sideband swap.
     """
-    s1, _ = stark_shifts(p, n_max)
+    s1, _ = stark_shifts(p)
     return 2.0 * s1
 
 
-def swap_frequency(p: FloquetParams, steps_per_drive_period: int = 40) -> float:
+def swap_frequency(p: FloquetParams) -> float:
     """Sideband swap frequency from the one-period Floquet map of |e,0>, |g,1>.
 
     The exact drive is periodic in 2 pi/nu and keeps the manifold
     {|e,0>, |g,1>} closed.  Its one-period propagator has eigenphases
     phi_1, phi_2; the quasienergy splitting wrap(phi_1 - phi_2) nu/(2 pi)
     is the angular swap frequency (Shirley, Phys. Rev. 138, B979, 1965).
+    The period is propagated in _STEPS_PER_DRIVE_PERIOD midpoint steps.
     Returns linear frequency in Hz.
     """
     if effective_coupling(p) == 0:
@@ -200,7 +174,7 @@ def swap_frequency(p: FloquetParams, steps_per_drive_period: int = 40) -> float:
             lambda t: full_floquet_hamiltonian(p, t, 2),
             StateVector(layout, amps),
             period,
-            period / steps_per_drive_period,
+            period / _STEPS_PER_DRIVE_PERIOD,
         )
         columns.append(psi.amps[manifold])
     lam = np.linalg.eigvals(np.column_stack(columns))

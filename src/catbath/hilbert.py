@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,24 @@ __all__ = [
     "OperatorMatrix",
     "TruncationWarning",
     "annihilation",
-    "number_operator",
     "coherent_state",
     "displacement",
-    "embed",
     "evolve",
     "evolve_td",
     "partial_trace",
     "density_from_state",
     "fidelity",
 ]
+
+
+# DensityMatrix.validate: Hermiticity, unit trace, lowest eigenvalue
+_HERM_TOL = 1e-10
+_TRACE_TOL = 1e-10
+_EIG_FLOOR = -1e-8
+# largest neglected Poisson tail of coherent_state without a warning
+_TAIL_TOL = 1e-8
+# largest |D(beta)|0> - |beta>| of displacement without a warning
+_DISPLACEMENT_TOL = 1e-6
 
 
 class TruncationWarning(UserWarning):
@@ -93,9 +101,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.layout, self.amps / self.norm)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -116,12 +121,12 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match layout dim {d}")
         object.__setattr__(self, "mat", mat)
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-10, eig_tol=-1e-8):
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > herm_tol:
+    def validate(self):
+        if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > trace_tol:
+        if abs(np.trace(self.mat).real - 1.0) > _TRACE_TOL:
             raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(self.mat).min() < eig_tol:
+        if np.linalg.eigvalsh(self.mat).min() < _EIG_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         return self
 
@@ -132,7 +137,6 @@ class OperatorMatrix:
 
     layout: SpaceLayout
     mat: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -163,13 +167,6 @@ def annihilation(cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(SpaceLayout((cutoff,)), mat)
 
 
-def number_operator(cutoff: int) -> OperatorMatrix:
-    if cutoff < 1:
-        raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
-    mat = np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-    return OperatorMatrix(SpaceLayout((cutoff,)), mat, hermitian=True)
-
-
 def _poisson_tail(mean: float, cutoff: int) -> float:
     """P(n >= cutoff) for a Poisson distribution, summed term by term."""
     if mean == 0.0:
@@ -180,20 +177,20 @@ def _poisson_tail(mean: float, cutoff: int) -> float:
     return float(max(0.0, 1.0 - np.exp(log_terms).sum()))
 
 
-def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-8) -> StateVector:
+def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Coherent state |alpha> truncated at `cutoff` Fock levels.
 
     amps[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized after
     truncation.  Emits a TruncationWarning when the neglected Poisson
-    tail exceeds `tail_tol`.
+    tail exceeds _TAIL_TOL.
     """
     if cutoff < 1:
         raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
     mean = abs(alpha) ** 2
     tail = _poisson_tail(mean, cutoff)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         warnings.warn(
-            f"coherent state truncation tail {tail:.3e} exceeds tolerance {tail_tol:.1e} "
+            f"coherent state truncation tail {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e} "
             f"at cutoff {cutoff}",
             TruncationWarning,
         )
@@ -210,12 +207,13 @@ def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-8) -> State
     return StateVector(SpaceLayout((cutoff,)), amps)
 
 
-def displacement(beta: complex, cutoff: int, check_tol: float = 1e-6) -> OperatorMatrix:
+def displacement(beta: complex, cutoff: int) -> OperatorMatrix:
     """Displacement operator D(beta) = exp(beta a^dag - beta^* a).
 
     Computed by exponentiating the Hermitian generator i(beta a^dag -
     beta^* a).  Reports (via TruncationWarning) when the cutoff is too
-    small for D(beta)|0> to reproduce the coherent state |beta>.
+    small for D(beta)|0> to reproduce the coherent state |beta> to
+    _DISPLACEMENT_TOL.
     """
     a = annihilation(cutoff).mat
     gen = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
@@ -225,32 +223,13 @@ def displacement(beta: complex, cutoff: int, check_tol: float = 1e-6) -> Operato
         warnings.simplefilter("ignore", TruncationWarning)
         target = coherent_state(beta, cutoff)
     err = np.linalg.norm(mat[:, 0] - target.amps)
-    if err >= check_tol:
+    if err >= _DISPLACEMENT_TOL:
         warnings.warn(
             f"displacement truncation error |D(beta)|0> - |beta>| = {err:.3e} at cutoff "
             f"{cutoff}; increase the cutoff",
             TruncationWarning,
         )
     return op
-
-
-def embed(op: OperatorMatrix, site: int, layout: SpaceLayout) -> OperatorMatrix:
-    """Embed a single-factor operator into a composite layout.
-
-    Identity on every other factor, Kronecker-ordered with factor 0 as
-    the slowest index.
-    """
-    if not 0 <= site < layout.n_factors:
-        raise ValueError(f"site {site} out of range for layout {layout.dims}")
-    if op.mat.shape[0] != layout.dims[site]:
-        raise ValueError(
-            f"operator dimension {op.mat.shape[0]} does not match layout factor "
-            f"{site} of dimension {layout.dims[site]}"
-        )
-    out = np.array([[1.0 + 0j]])
-    for s, d in enumerate(layout.dims):
-        out = np.kron(out, op.mat if s == site else np.eye(d))
-    return OperatorMatrix(layout, out, hermitian=op.hermitian)
 
 
 def _require_hermitian(H: OperatorMatrix, rel_tol: float = 1e-9):

@@ -29,13 +29,17 @@ from .hilbert import DensityMatrix
 __all__ = [
     "RabiTrace",
     "WignerMap",
-    "photon_distribution",
     "synthesize_rabi",
     "fit_photon_numbers",
     "wigner_point",
     "wigner_map",
     "derotate",
 ]
+
+# largest photon number fit_photon_numbers resolves
+N_MAX_LIMIT = 20
+# primal and dual feasibility of the fit's active-set iterate
+_KKT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,16 +82,6 @@ class WignerMap:
         object.__setattr__(self, "values", values)
 
 
-def photon_distribution(rho: DensityMatrix) -> np.ndarray:
-    """Diagonal P_n = <n|rho|n> of a single-mode state."""
-    if rho.layout.n_factors != 1:
-        raise ValueError("photon_distribution requires a single bosonic mode")
-    pn = np.real(np.diag(rho.mat))
-    if pn.min() < -1e-10 or abs(pn.sum() - 1.0) > 1e-10:
-        raise ValueError("diagonal is not a valid probability distribution")
-    return np.clip(pn, 0.0, None)
-
-
 def synthesize_rabi(
     pn: np.ndarray,
     xi: float,
@@ -110,7 +104,7 @@ def _design_matrix(trace: RabiTrace, n_max: int) -> np.ndarray:
     return 0.5 * (trace.pg0 - trace.pe0) * np.cos(freqs[None, :] * trace.taus[:, None])
 
 
-def fit_photon_numbers(trace: RabiTrace, n_max: int, kkt_tol: float = 1e-8) -> np.ndarray:
+def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
     """Invert a Rabi trace into P_0..P_{n_max}.
 
     Solves min ||A p - b||^2 subject to p >= 0, sum p = 1 by an
@@ -118,10 +112,10 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int, kkt_tol: float = 1e-8) -> n
     solved on the free index set, negative entries are clamped to the
     active set, and clamped entries re-enter when their KKT dual turns
     negative.  The final iterate satisfies the KKT conditions to
-    kkt_tol.
+    _KKT_TOL.  Needs n_max <= N_MAX_LIMIT and at least n_max + 2 samples.
     """
-    if n_max > 20:
-        raise ValueError("n_max above 20 is not supported")
+    if n_max > N_MAX_LIMIT:
+        raise ValueError(f"n_max above {N_MAX_LIMIT} is not supported")
     if trace.taus.size < n_max + 2:
         raise ValueError("too few samples for the requested n_max")
     a = _design_matrix(trace, n_max)
@@ -154,7 +148,7 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int, kkt_tol: float = 1e-8) -> n
         p = np.zeros(m)
         p[f] = sol[: f.size]
         mu = sol[-1]
-        if p.min() < -kkt_tol:
+        if p.min() < -_KKT_TOL:
             free[int(np.argmin(p))] = False
             continue
         p = np.clip(p, 0.0, None)
@@ -162,7 +156,7 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int, kkt_tol: float = 1e-8) -> n
         grad = g @ p - c
         duals = grad + mu
         active = np.flatnonzero(~free)
-        if active.size and duals[active].min() < -kkt_tol:
+        if active.size and duals[active].min() < -_KKT_TOL:
             free[active[int(np.argmin(duals[active]))]] = True
             continue
         break

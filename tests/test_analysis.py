@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbath.analysis import (
-    BranchPair,
     branch_from_tomo,
     psd_project,
     reservoir_distinguishability,
@@ -16,7 +15,7 @@ from catbath.analysis import (
     von_neumann_entropy,
 )
 from catbath.dynamics import ReservoirSpec, branch_amplitudes
-from catbath.hilbert import DensityMatrix, SpaceLayout, StateVector, density_from_state
+from catbath.hilbert import DensityMatrix, SpaceLayout
 
 from conftest import LAMBDA_HALF_TABLE, MHZ, NS
 
@@ -259,11 +258,3 @@ def test_distinguishability_product_identity(rng):
             prod *= abs(ba.c_g) ** 2
         d = reservoir_distinguishability(branches)
         assert d == pytest.approx(math.sqrt(1 - prod), abs=1e-9)
-
-
-def test_branch_pair_layout_check():
-    with pytest.raises(ValueError):
-        BranchPair(
-            DensityMatrix(Q, GG),
-            DensityMatrix(SpaceLayout((2, 2)), np.eye(4) / 4),
-        )

@@ -12,7 +12,6 @@ from catbath.catprep import (
     cat_fock_amplitudes,
     jc_hamiltonian,
     make_amplitude_cat,
-    sequence_unitary,
     target_state,
     truncation_fidelity,
     x_pi,
@@ -138,7 +137,7 @@ def test_roundtrip_and_vacuum_target():
     fwd = apply_sequence(steps, vacuum(layout), "forward", xi=XI)
     back = apply_sequence(steps, fwd, "backward", xi=XI)
     assert np.linalg.norm(back.amps - vacuum(layout).amps) < 1e-9
-    assert apply_sequence([], vacuum(layout), "forward").amps[0] == 1.0
+    assert apply_sequence([], vacuum(layout), "forward", xi=XI).amps[0] == 1.0
     # vacuum-limit target produces no steps
     assert backward_angles(CatSpec(alpha=1e-10), XI) == []
 
@@ -150,7 +149,10 @@ def test_z_conjugation_identity():
     spec = CatSpec(alpha=3.3)
     steps = backward_angles(spec, XI)
     layout = SpaceLayout((2, 7))
-    u_fwd = sequence_unitary(steps, layout, XI)
+    u_fwd = np.column_stack(
+        [apply_sequence(steps, StateVector(layout, e_j), "forward", xi=XI).amps
+         for e_j in np.eye(layout.dim, dtype=complex)]
+    )
     h = jc_hamiltonian(XI, 7)
     w, v = np.linalg.eigh(h.mat)
     flip = x_pi(layout).mat

@@ -310,11 +310,19 @@ def test_fit_rabi_rejects_negative_noise(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--xi-mhz", "0"), ("--xi-mhz", "-19.8"), ("--n-max", "-1")]
+    "flag,value,samples",
+    [
+        ("--xi-mhz", "0", 240),
+        ("--xi-mhz", "-19.8", 240),
+        ("--n-max", "-1", 240),
+        ("--n-max", "21", 240),
+        ("--n-max", "4", 3),  # needs n_max + 2 samples
+    ],
+    ids=["--xi-mhz-0", "--xi-mhz--19.8", "--n-max--1", "--n-max-21", "--n-max-4-3-samples"],
 )
-def test_fit_rabi_rejects_out_of_range_flag(tmp_path, capsys, flag, value):
+def test_fit_rabi_rejects_out_of_range_flag(tmp_path, capsys, flag, value, samples):
     trace = synthesize_rabi(np.array([0.2, 0.5, 0.3]), 19.8 * MHZ,
-                            np.linspace(0, 300, 240) * NS)
+                            np.linspace(0, 300, samples) * NS)
     data = tmp_path / "rabi.csv"
     _write_csv(str(data), ["tau_ns", "pe"], zip(trace.taus / NS, trace.pe))
     out = tmp_path / "pn.csv"

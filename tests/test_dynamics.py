@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from catbath.analysis import von_neumann_entropy
 from catbath.dynamics import (
-    BranchAmplitudes,
     ReservoirSpec,
     analytic_joint_state,
-    backaction_rotation_rate,
     branch_amplitudes,
     cat_with_ground_qubits,
     coherence_factor,
@@ -30,7 +28,7 @@ from catbath.hilbert import (
     fidelity,
 )
 
-from conftest import DRIVE_TABLE, LAMBDA_HALF_TABLE, MHZ, NS
+from conftest import LAMBDA_HALF_TABLE, MHZ, NS
 
 ALPHA = 3.3
 N_MEAN = ALPHA**2
@@ -174,20 +172,6 @@ def test_coherence_factor_values():
     ts = np.arange(25.0, 200.0, 0.25) * NS
     vals = [abs(coherence_factor(t, spec8)) for t in ts[ts > 25 * NS]]
     assert max(vals) < 0.2
-
-
-def test_backaction_rotation_rate():
-    spec = r1_spec()
-    rate = backaction_rotation_rate(spec, 0)
-    omega = branch_amplitudes(0, 0.0, spec).omega_k
-    assert rate == pytest.approx((8.1 * MHZ) ** 2 / (4 * omega))
-    assert rate / MHZ == pytest.approx(0.61, abs=0.01)
-    # monotone decreasing in <n> at fixed lambda
-    rates = [
-        backaction_rotation_rate(ReservoirSpec((8.1 * MHZ,), (0.0,), nm), 0)
-        for nm in (5.0, 10.0, 15.0, 20.0)
-    ]
-    assert np.all(np.diff(rates) < 0)
 
 
 def test_exact_excitation_number_conserved():

@@ -10,7 +10,6 @@ from catbath.floquet import (
     FloquetParams,
     bessel_j,
     effective_coupling,
-    effective_hamiltonian,
     full_floquet_hamiltonian,
     stark_compensating_detuning,
     stark_shifts,
@@ -85,26 +84,6 @@ def test_stark_resonant_denominator_error():
     p = FloquetParams(xi=10 * MHZ, eps=50 * MHZ, nu=100 * MHZ, K=200 * MHZ)
     with pytest.raises(ValueError, match="n = 3"):
         stark_shifts(p)
-
-
-def test_effective_hamiltonian_elements(r1_params):
-    p = r1_params
-    lam_half = effective_coupling(p)
-    s1, s2 = stark_shifts(p)
-    h = effective_hamiltonian(p, 4)
-    layout = SpaceLayout((2, 4))
-    e0 = layout.index((1, 0))
-    g1 = layout.index((0, 1))
-    assert h.mat[e0, e0] == pytest.approx(-s1)
-    assert h.mat[g1, g1] == pytest.approx(s1)
-    assert h.mat[g1, e0] == pytest.approx(lam_half)
-    e2 = layout.index((1, 2))
-    assert h.mat[e2, e2] == pytest.approx(-s1 - 2 * s1 + 2 * s2)
-    # S1 = S2 = 0 leaves the pure exchange term
-    bare = effective_hamiltonian(
-        FloquetParams(xi=p.xi, eps=p.eps, nu=p.nu), 4
-    ).mat - np.diag(np.diag(effective_hamiltonian(FloquetParams(xi=p.xi, eps=p.eps, nu=p.nu), 4).mat))
-    assert abs(bare[g1, e0] - lam_half) < 1e-9
 
 
 def test_full_hamiltonian_fourier_component(r1_params):

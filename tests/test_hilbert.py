@@ -15,10 +15,8 @@ from catbath.hilbert import (
     coherent_state,
     density_from_state,
     displacement,
-    embed,
     evolve,
     evolve_td,
-    number_operator,
     partial_trace,
 )
 
@@ -92,19 +90,6 @@ def test_displacement_unitary_and_truncation_report():
     assert np.max(np.abs(d.conj().T @ d - np.eye(30))) < 1e-8
     with pytest.warns(TruncationWarning):
         displacement(3.0, 6)
-
-
-def test_embed_sigma_z_and_commuting_supports(rng):
-    sz = OperatorMatrix(SpaceLayout((2,)), np.diag([1.0, -1.0]))
-    full = embed(sz, 1, SpaceLayout((2, 2)))
-    assert np.allclose(full.mat, np.diag([1, -1, 1, -1]))
-    layout = SpaceLayout((3, 2))
-    a = OperatorMatrix(SpaceLayout((3,)), rng.normal(size=(3, 3)))
-    b = OperatorMatrix(SpaceLayout((2,)), rng.normal(size=(2, 2)))
-    ea, eb = embed(a, 0, layout).mat, embed(b, 1, layout).mat
-    assert np.max(np.abs(ea @ eb - eb @ ea)) < 1e-12
-    with pytest.raises(ValueError):
-        embed(b, 0, layout)
 
 
 def test_evolve_identity_rabi_and_jc_block():

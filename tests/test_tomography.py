@@ -21,7 +21,6 @@ from catbath.tomography import (
     WignerMap,
     derotate,
     fit_photon_numbers,
-    photon_distribution,
     synthesize_rabi,
     wigner_map,
     wigner_point,
@@ -62,38 +61,6 @@ def analytic_cat_wigner(alpha: float, beta: complex) -> float:
         * np.exp(-2.0 * abs(beta) ** 2 + 2.0 * beta * alpha - alpha**2 / 2.0)
     )
     return float(norm2 * (gauss(0.0) + gauss(alpha) + 2.0 * cross.real))
-
-
-def test_photon_distribution_vacuum_and_coherent():
-    pn = photon_distribution(fock_density(0, 8))
-    assert pn[0] == 1.0 and np.all(pn[1:] == 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        rho = density_from_state(coherent_state(3.3, 40))
-    pn = photon_distribution(rho)
-    mean = 3.3**2
-    poisson = np.array(
-        [math.exp(-mean) * mean**n / math.factorial(n) for n in range(40)]
-    )
-    poisson /= poisson.sum()
-    assert np.max(np.abs(pn - poisson)) < 1e-9
-
-
-def test_photon_distribution_cat_oracle():
-    rho = cat_density(3.3, 40)
-    pn = photon_distribution(rho)
-    direct = np.real(np.diag(rho.mat))  # independent read of <n|rho|n>
-    assert np.allclose(pn, np.clip(direct, 0, None))
-    # n=0 carries the vacuum lobe plus the coherent tail plus interference
-    norm2 = 1.0 / (2.0 * (1.0 + math.exp(-(3.3**2) / 2.0)))
-    c0 = math.exp(-(3.3**2) / 2.0)
-    assert pn[0] == pytest.approx(norm2 * (1.0 + c0) ** 2, abs=1e-9)
-
-
-def test_photon_distribution_rejects_composite():
-    rho = DensityMatrix(SpaceLayout((2, 2)), np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        photon_distribution(rho)
 
 
 def test_synthesize_rabi_vacuum_and_single_tone():
