@@ -16,7 +16,7 @@ import numpy as np
 
 from catbath import catprep, tomography
 from catbath.config import MHZ
-from catbath.hilbert import TruncationWarning, density_from_state
+from catbath.hilbert import StateVector, TruncationWarning, density_from_state, fidelity
 
 
 def main():
@@ -36,6 +36,10 @@ def main():
 
     f_trunc = catprep.truncation_fidelity(spec)
     print(f"truncation fidelity of the {spec.cutoff_star}-photon target: {f_trunc:.4f}")
+    target = catprep.target_state(spec)
+    vacuum = StateVector(target.layout, np.eye(target.layout.dim)[0])
+    f_fwd = fidelity(catprep.apply_sequence(steps, vacuum, "forward", xi=xi), target)
+    print(f"fidelity of the forward synthesis against the target: {f_fwd:.8f}")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

@@ -7,6 +7,7 @@ name the offending field by its path (e.g. ``scenario.dt_ns``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -110,10 +111,21 @@ def _need(mapping, key, path, kind):
     raise AssertionError(kind)
 
 
-def _opt(mapping, key, path, kind, default):
-    if not isinstance(mapping, dict) or key not in mapping:
-        return default
-    return _need(mapping, key, path, kind)
+_KINDS = {"float": float, "int": int, "str": str}
+
+
+def _fields(cls, mapping, path) -> dict:
+    """Constructor arguments for the scalar fields of dataclass `cls`.
+
+    Each is read from `mapping` and checked against the field's type.
+    A field with a default is passed only when the mapping holds it, so
+    the dataclass keeps the one copy of every default.
+    """
+    return {
+        f.name: _need(mapping, f.name, path, _KINDS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.type in _KINDS and (f.name in mapping or f.default is dataclasses.MISSING)
+    }
 
 
 def parse_config(data: dict) -> DeviceConfig:
@@ -135,14 +147,7 @@ def parse_config(data: dict) -> DeviceConfig:
         path = f"qubits[{i}]"
         if not isinstance(q, dict):
             raise ConfigError(f"{path}: expected a mapping")
-        qc = QubitConfig(
-            name=_need(q, "name", path, str),
-            xi_MHz=_need(q, "xi_MHz", path, float),
-            eps_MHz=_need(q, "eps_MHz", path, float),
-            nu_MHz=_need(q, "nu_MHz", path, float),
-            delta_MHz=_opt(q, "delta_MHz", path, float, 0.0),
-            K_MHz=_opt(q, "K_MHz", path, float, 0.0),
-        )
+        qc = QubitConfig(**_fields(QubitConfig, q, path))
         if qc.nu_MHz <= 0:
             raise ConfigError(f"{path}.nu_MHz: must be positive")
         qubits.append(qc)
@@ -153,24 +158,10 @@ def parse_config(data: dict) -> DeviceConfig:
     wg_raw = sc.get("wigner_grid", {})
     if not isinstance(wg_raw, dict):
         raise ConfigError("scenario.wigner_grid: expected a mapping")
-    wpath = "scenario.wigner_grid"
-    wg = WignerGridConfig(
-        re_min=_opt(wg_raw, "re_min", wpath, float, -1.5),
-        re_max=_opt(wg_raw, "re_max", wpath, float, 4.5),
-        re_points=_opt(wg_raw, "re_points", wpath, int, 121),
-        im_min=_opt(wg_raw, "im_min", wpath, float, -2.5),
-        im_max=_opt(wg_raw, "im_max", wpath, float, 2.5),
-        im_points=_opt(wg_raw, "im_points", wpath, int, 101),
-    )
+    wg = WignerGridConfig(**_fields(WignerGridConfig, wg_raw, "scenario.wigner_grid"))
     if wg.re_points < 1 or wg.im_points < 1:
         raise ConfigError("scenario.wigner_grid: point counts must be positive")
-    scenario = ScenarioConfig(
-        alpha=_opt(sc, "alpha", "scenario", float, 3.3),
-        n_qubits=_opt(sc, "n_qubits", "scenario", int, 1),
-        t_max_ns=_opt(sc, "t_max_ns", "scenario", float, 80.0),
-        dt_ns=_opt(sc, "dt_ns", "scenario", float, 0.2),
-        wigner_grid=wg,
-    )
+    scenario = ScenarioConfig(wigner_grid=wg, **_fields(ScenarioConfig, sc, "scenario"))
     if scenario.dt_ns <= 0:
         raise ConfigError("scenario.dt_ns: must be positive")
     if scenario.t_max_ns <= 0:
@@ -180,22 +171,17 @@ def parse_config(data: dict) -> DeviceConfig:
             f"scenario.n_qubits: must be between 1 and the {len(qubits)} configured qubits"
         )
 
-    ancilla_xi = 19.8
     anc = data.get("ancilla")
-    if anc is not None:
-        if not isinstance(anc, dict):
-            raise ConfigError("ancilla: expected a mapping")
-        ancilla_xi = _opt(anc, "xi_MHz", "ancilla", float, 19.8)
-    if ancilla_xi <= 0:
-        raise ConfigError("ancilla.xi_MHz: must be positive")
+    if anc is not None and not isinstance(anc, dict):
+        raise ConfigError("ancilla: expected a mapping")
+    ancilla = {}
+    if anc and "xi_MHz" in anc:
+        ancilla["ancilla_xi_MHz"] = _need(anc, "xi_MHz", "ancilla", float)
 
-    return DeviceConfig(
-        omega_s_MHz=omega_s,
-        cutoff=cutoff,
-        qubits=tuple(qubits),
-        scenario=scenario,
-        ancilla_xi_MHz=ancilla_xi,
-    )
+    cfg = DeviceConfig(omega_s, cutoff, tuple(qubits), scenario, **ancilla)
+    if cfg.ancilla_xi_MHz <= 0:
+        raise ConfigError("ancilla.xi_MHz: must be positive")
+    return cfg
 
 
 def load_config(path: str) -> DeviceConfig:

@@ -6,17 +6,19 @@ An initial amplitude cat N+(|0> + |alpha>) splits into two branches:
 the vacuum branch leaves the qubits in |g...g>, the |alpha> branch
 drives collective Rabi oscillations.
 
-Two analytic pictures of the |alpha> branch live here:
+Both analytic pictures of the |alpha> branch evaluate one Rabi kernel:
+Fock component n drives qubit k at Omega_k(n) =
+sqrt(n lambda_k^2 + delta_k^2).
 
-- branch_amplitudes / coherence_factor treat the field as a classical
-  drive of Rabi frequency Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).
 - analytic_joint_state resolves the branch photon number by photon
-  number: Fock component n drives qubit k at Omega_k(n) =
-  sqrt(n lambda_k^2 + delta_k^2), and each excited qubit shifts the
-  field down by one photon.  This carries the back-action on the field
-  (Gea-Banacloche, PRL 65, 3385, 1990).  It is exact at N = 1 and
-  approximate for N >= 2, since it ignores that a photon taken by one
-  qubit lowers the rate the others see.
+  number, and each excited qubit shifts the field down by one photon.
+  This carries the back-action on the field (Gea-Banacloche, PRL 65,
+  3385, 1990).  It is exact at N = 1 and approximate for N >= 2, since
+  it ignores that a photon taken by one qubit lowers the rate the
+  others see.
+- branch_amplitudes, branch_states and coherence_factor are the
+  n = <n> case: the field is a classical drive of Rabi frequency
+  Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).
 
 Exact propagation (reservoir_hamiltonian with hilbert.evolve, or
 evolve_excitation_blocks) is the reference for both.
@@ -127,34 +129,38 @@ def reservoir_hamiltonian(spec: ReservoirSpec, cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(layout, mat)
 
 
-def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes:
-    """Semiclassical qubit amplitudes inside the |alpha> branch.
+def _semiclassical_amplitudes(t, spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(c_g, c_e) of every qubit at n = <n>, each of shape (N,) + shape(t)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    per_qubit = (-1,) + (1,) * t.ndim
+    return _fock_rabi_amplitudes(
+        spec.n_mean,
+        np.reshape(spec.couplings, per_qubit),
+        np.reshape(spec.detunings, per_qubit),
+        t,
+    )
 
-    Omega_k = sqrt(<n> lambda_k^2 + delta_k^2)
+
+def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes:
+    """Semiclassical amplitudes of qubit k inside the |alpha> branch.
+
+    The photon-resolved kernel at n = <n>:
     c_g = cos(Omega_k t/2) + i (delta_k/Omega_k) sin(Omega_k t/2)
     c_e = -i (sqrt(<n>) lambda_k / Omega_k) sin(Omega_k t/2)
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam = spec.couplings[k]
-    delta = spec.detunings[k]
-    omega = math.sqrt(spec.n_mean * lam**2 + delta**2)
-    if omega == 0.0:
-        return BranchAmplitudes(1.0 + 0j, 0.0 + 0j, 0.0)
-    half = omega * t / 2.0
-    c_g = math.cos(half) + 1j * (delta / omega) * math.sin(half)
-    c_e = -1j * (math.sqrt(spec.n_mean) * lam / omega) * math.sin(half)
-    return BranchAmplitudes(c_g, c_e, omega)
+    c_g, c_e = _semiclassical_amplitudes(t, spec)
+    omega = math.sqrt(spec.n_mean * spec.couplings[k] ** 2 + spec.detunings[k] ** 2)
+    return BranchAmplitudes(complex(c_g[k]), complex(c_e[k]), omega)
 
 
 def branch_states(t: float, spec: ReservoirSpec) -> list[DensityMatrix]:
     """Pure 2x2 state |c_g, c_e> of each qubit in the semiclassical |alpha> branch."""
-    out = []
-    for k in range(spec.n_qubits):
-        ba = branch_amplitudes(k, t, spec)
-        vec = np.array([ba.c_g, ba.c_e])
-        out.append(DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())))
-    return out
+    vecs = np.stack(_semiclassical_amplitudes(t, spec), axis=-1)
+    return [
+        DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())) for vec in vecs
+    ]
 
 
 def cat_with_ground_qubits(alpha: complex, spec: ReservoirSpec, cutoff: int) -> StateVector:
@@ -170,9 +176,7 @@ def cat_with_ground_qubits(alpha: complex, spec: ReservoirSpec, cutoff: int) -> 
     return StateVector(layout, amps)
 
 
-def _fock_rabi_amplitudes(
-    n: np.ndarray, lam: np.ndarray, delta: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of |n,g> -> c_g |n,g> + c_e |n-1,e> under one exchange term.
 
     Omega(n) = sqrt(n lambda^2 + delta^2); the common phase
@@ -245,12 +249,14 @@ def analytic_joint_state(
     return StateVector(layout, amps)
 
 
-def coherence_factor(t: float, spec: ReservoirSpec) -> complex:
-    """Which-path attenuation prod_k c_k^g(t) of the |alpha><0| block."""
-    out = 1.0 + 0j
-    for k in range(spec.n_qubits):
-        out *= branch_amplitudes(k, t, spec).c_g
-    return out
+def coherence_factor(t, spec: ReservoirSpec):
+    """Which-path attenuation prod_k c_k^g(t) of the |alpha><0| block.
+
+    A scalar t gives a complex; an array of times gives an array of
+    their factors.
+    """
+    coh = np.prod(_semiclassical_amplitudes(t, spec)[0], axis=0)
+    return complex(coh) if coh.ndim == 0 else coh
 
 
 def evolve_excitation_blocks(

@@ -112,10 +112,10 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
     solved on the free index set, negative entries are clamped to the
     active set, and clamped entries re-enter when their KKT dual turns
     negative.  The final iterate satisfies the KKT conditions to
-    _KKT_TOL.  Needs n_max <= N_MAX_LIMIT and at least n_max + 2 samples.
+    _KKT_TOL.  Needs 0 <= n_max <= N_MAX_LIMIT and at least n_max + 2 samples.
     """
-    if n_max > N_MAX_LIMIT:
-        raise ValueError(f"n_max above {N_MAX_LIMIT} is not supported")
+    if not 0 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"n_max must be between 0 and {N_MAX_LIMIT}, got {n_max}")
     if trace.taus.size < n_max + 2:
         raise ValueError("too few samples for the requested n_max")
     a = _design_matrix(trace, n_max)

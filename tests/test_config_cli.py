@@ -1,15 +1,28 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from catbath.cli import _write_csv, main
-from catbath.config import MHZ, NS, ConfigError, load_config, parse_config
+from catbath import analysis, dynamics
+from catbath.cli import _reservoir_from_config, _write_csv, main
+from catbath.config import (
+    MHZ,
+    NS,
+    ConfigError,
+    DeviceConfig,
+    QubitConfig,
+    ScenarioConfig,
+    load_config,
+    parse_config,
+)
 from catbath.tomography import synthesize_rabi
 
 from conftest import DRIVE_TABLE
+
+DEVICE_YAML = Path(__file__).parent.parent / "configs" / "device.yaml"
 
 CONFIG = {
     "resonator": {"omega_s_MHz": 5796.0, "cutoff": 24},
@@ -66,6 +79,19 @@ def test_config_validation_names_field(mutate, field):
     mutate(data)
     with pytest.raises(ConfigError, match=field.replace("[", "\\[")):
         parse_config(data)
+
+
+def test_minimal_config_takes_dataclass_defaults():
+    qubit = {"name": "R1", "xi_MHz": 19.6, "eps_MHz": 81.5, "nu_MHz": 190.0}
+    cfg = parse_config(
+        {"resonator": {"omega_s_MHz": 5796.0, "cutoff": 24}, "qubits": [qubit]}
+    )
+    assert cfg == DeviceConfig(
+        omega_s_MHz=5796.0,
+        cutoff=24,
+        qubits=(QubitConfig(**qubit),),
+        scenario=ScenarioConfig(),
+    )
 
 
 def test_prep_cat_cli(tmp_path, config_path):
@@ -130,6 +156,30 @@ def test_decohere_cli_byte_identical(tmp_path, config_path):
     assert a.read_bytes().decode().splitlines()[0] == (
         "t_ns,coh_factor_abs,entropy_bits,distinguishability"
     )
+
+
+def test_decohere_cli_detuned_n8_matches_branch_model(tmp_path):
+    data = yaml.safe_load(DEVICE_YAML.read_text())
+    for q, delta in zip(data["qubits"], (-2.2, 1.4, 3.1, -0.7, 0.9, -1.6, 2.5, 0.3)):
+        q["delta_MHz"] = delta
+    config_path = tmp_path / "detuned.yaml"
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dec.csv"
+    assert main(
+        ["decohere", "--config", str(config_path), "--n-qubits", "8",
+         "--t-max", "60", "--dt", "0.5", "--out", str(out)]
+    ) == 0
+    rows = read_rows(out)
+    spec = _reservoir_from_config(load_config(str(config_path)), 8)
+    assert any(d != 0.0 for d in spec.detunings)
+    for row in rows:
+        t = float(row["t_ns"]) * NS
+        coh, d = float(row["coh_factor_abs"]), float(row["distinguishability"])
+        assert 0.0 <= coh <= 1.0 and 0.0 <= d <= 1.0
+        assert coh == pytest.approx(abs(dynamics.coherence_factor(t, spec)), abs=1e-12)
+        expected = analysis.reservoir_distinguishability(dynamics.branch_states(t, spec))
+        assert d == pytest.approx(expected, abs=1e-12)
+    assert len(rows) == 121
 
 
 def test_wigner_cli(tmp_path, config_path):

@@ -172,6 +172,17 @@ def test_coherence_factor_values():
     ts = np.arange(25.0, 200.0, 0.25) * NS
     vals = [abs(coherence_factor(t, spec8)) for t in ts[ts > 25 * NS]]
     assert max(vals) < 0.2
+    # a whole grid in one call matches the scalar calls, detuned qubits included
+    detunings = (-2.2, 1.4, 3.1, -0.7, 0.9, -1.6, 2.5, 0.3)
+    detuned = ReservoirSpec(spec8.couplings, tuple(d * MHZ for d in detunings), N_MEAN)
+    grid = np.linspace(0.0, 200.0, 81) * NS
+    on_grid = coherence_factor(grid, detuned)
+    assert on_grid.shape == grid.shape
+    pointwise = np.array([coherence_factor(t, detuned) for t in grid])
+    assert np.max(np.abs(on_grid - pointwise)) < 1e-15
+    assert type(coherence_factor(7e-9, detuned)) is complex
+    with pytest.raises(ValueError, match="nonnegative"):
+        coherence_factor(np.array([0.0, 5e-9, -1e-12, 9e-9]), detuned)
 
 
 def test_exact_excitation_number_conserved():

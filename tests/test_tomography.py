@@ -125,6 +125,14 @@ def test_fit_warns_on_short_span():
         fit_photon_numbers(tr, 6)
 
 
+@pytest.mark.parametrize("n_max", [-1, 21])
+def test_fit_rejects_out_of_range_n_max(n_max):
+    taus = np.linspace(0, 300, 240) * NS
+    tr = synthesize_rabi(np.array([0.2, 0.5, 0.3]), XI, taus)
+    with pytest.raises(ValueError, match="n_max"):
+        fit_photon_numbers(tr, n_max)
+
+
 def test_fit_span_check_ignores_sign_of_xi():
     # a long trace conditions the fit whichever way the drive is signed
     taus = np.linspace(0, 1000, 400) * NS
