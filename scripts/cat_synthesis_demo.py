@@ -5,7 +5,8 @@ dump its Wigner function.
 Prints the per-step swap angles, reports the fidelity of the forward
 synthesis against the truncated target, then rasterizes the Wigner map
 of the finished state (two coherent lobes plus the interference
-fringes around the midpoint).
+fringes around the midpoint).  The cat amplitude, the ancilla drive and
+the Wigner grid come from the device YAML.
 """
 
 import argparse
@@ -15,20 +16,24 @@ import warnings
 import numpy as np
 
 from catbath import catprep, tomography
-from catbath.config import MHZ
+from catbath.config import MHZ, ConfigError, load_config
 from catbath.hilbert import StateVector, TruncationWarning, density_from_state, fidelity
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alpha", type=float, default=3.3)
-    ap.add_argument("--xi-mhz", type=float, default=19.8)
+    ap.add_argument("--config", default="configs/device.yaml")
     ap.add_argument("--cutoff", type=int, default=40)
     ap.add_argument("--out", default="wigner_cat.csv")
     args = ap.parse_args()
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ConfigError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
-    spec = catprep.CatSpec(alpha=args.alpha)
-    xi = args.xi_mhz * MHZ
+    alpha = cfg.scenario.alpha
+    spec = catprep.CatSpec(alpha=alpha)
+    xi = cfg.ancilla_xi_MHz * MHZ
     steps = catprep.backward_angles(spec, xi)
     print("step  n   theta_rad   t_ns")
     for s in steps:
@@ -45,9 +50,7 @@ def main():
         warnings.simplefilter("ignore", TruncationWarning)
         cat = catprep.make_amplitude_cat(spec, args.cutoff, xi)
         wm = tomography.wigner_map(
-            density_from_state(cat),
-            np.linspace(-1.5, args.alpha + 1.2, 121),
-            np.linspace(-2.5, 2.5, 101),
+            density_from_state(cat), *cfg.scenario.wigner_grid.grids()
         )
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -55,7 +58,7 @@ def main():
         for i, x in enumerate(wm.re_grid):
             for j, y in enumerate(wm.im_grid):
                 w.writerow([f"{x:.4f}", f"{y:.4f}", f"{wm.values[i, j]:.6e}"])
-    mid = args.alpha / 2.0
+    mid = alpha / 2.0
     w_mid = tomography.wigner_point(density_from_state(cat), mid)
     print(f"fringe peak at beta={mid:.2f}: W = {w_mid:.4f} (2/pi = {2 / np.pi:.4f})")
     print(f"wrote {wm.values.size} Wigner samples to {args.out}")

@@ -20,8 +20,10 @@ sqrt(n lambda_k^2 + delta_k^2).
   n = <n> case: the field is a classical drive of Rabi frequency
   Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).
 
-Exact propagation (reservoir_hamiltonian with hilbert.evolve, or
-evolve_excitation_blocks) is the reference for both.
+Exact propagation is the reference for both.  evolve_excitation_blocks
+applies the sparse Hamiltonian by a Chebyshev series at any register
+size; the dense reservoir_hamiltonian with hilbert.evolve is kept as
+the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
 """
@@ -39,7 +41,7 @@ from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
-    _propagate,
+    _chebyshev_propagate,
     annihilation,
     coherent_state,
 )
@@ -58,7 +60,8 @@ __all__ = [
     "reduced_field_state",
 ]
 
-# above this dimension dense eigendecomposition gets slow; use blocks
+# the dense Hamiltonian, a small-register oracle, is refused above this
+# dimension; evolve_excitation_blocks takes any size
 MAX_DENSE_DIM = 4096
 
 
@@ -129,9 +132,16 @@ def reservoir_hamiltonian(spec: ReservoirSpec, cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(layout, mat)
 
 
+def _require_finite(t) -> None:
+    """Reject a NaN or infinite time (or any in an array of times)."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def _semiclassical_amplitudes(t, spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
     """(c_g, c_e) of every qubit at n = <n>, each of shape (N,) + shape(t)."""
     t = np.asarray(t, dtype=float)
+    _require_finite(t)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     per_qubit = (-1,) + (1,) * t.ndim
@@ -212,6 +222,7 @@ def analytic_joint_state(
     lambda_k^2 / (4 Omega_k).  Warns when the excitation leaked to the
     qubits is no longer small against <n>.
     """
+    _require_finite(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     layout = _layout(spec, cutoff)
@@ -262,16 +273,19 @@ def coherence_factor(t, spec: ReservoirSpec):
 def evolve_excitation_blocks(
     spec: ReservoirSpec, psi: StateVector, t: float, cutoff: int
 ) -> StateVector:
-    """Exact propagation using conservation of total excitation number.
+    """Exact propagation exp(-iHt) psi of the sparse reservoir Hamiltonian.
 
-    The Hamiltonian is block diagonal in m = a^dag a + sum_k |e><e|_k.
     Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
     b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
-    lambda_k/2 sqrt(n+1).  Each populated block is assembled from these
-    index relations and diagonalized once (real symmetric), which keeps
-    N = 8 at cutoff 40 tractable: blocks of at most 2^N states instead
-    of one of 10240.
+    lambda_k/2 sqrt(n+1).  H is assembled from these index relations,
+    with at most N + 1 nonzeros per row, and applied to the state by
+    hilbert._chebyshev_propagate in about r|t| sparse products, r the
+    half-width of the Gershgorin bound on the spectrum.  H never couples
+    two total excitation numbers a^dag a + sum_k |e><e|_k, so the
+    population of each is conserved without splitting the state into
+    blocks.  t may be negative; it must be finite.
     """
+    _require_finite(t)
     layout = _layout(spec, cutoff)
     if psi.layout != layout:
         raise ValueError("state layout does not match the reservoir layout")
@@ -280,26 +294,12 @@ def evolve_excitation_blocks(
     photons, pattern = np.divmod(np.arange(layout.dim), width)
     qubit_bit = 1 << np.arange(n_q - 1, -1, -1)  # bit of qubit k in b
     excited = (pattern[:, None] & qubit_bit) > 0
-    excitation = photons + excited.sum(axis=1)
     diag = excited @ np.asarray(spec.detunings)
     # a^dag |g><e|_k: photon up, qubit k down
     src, k = np.nonzero(excited & (photons[:, None] + 1 < cutoff))
     dst = src + width - qubit_bit[k]
     amp = np.asarray(spec.couplings)[k] / 2.0 * np.sqrt(photons[src] + 1.0)
-    out = np.zeros(layout.dim, dtype=complex)
-    pos = np.empty(layout.dim, dtype=int)  # position of an index in its block
-    for m in range(excitation.max() + 1):
-        idxs = np.flatnonzero(excitation == m)
-        seg = psi.amps[idxs]
-        if np.linalg.norm(seg) < 1e-14:
-            continue
-        pos[idxs] = np.arange(idxs.size)
-        sel = excitation[src] == m
-        row, col = pos[src[sel]], pos[dst[sel]]
-        h = np.diag(diag[idxs])
-        h[row, col] = h[col, row] = amp[sel]
-        out[idxs] = _propagate(*np.linalg.eigh(h), t, seg)
-    return StateVector(layout, out)
+    return StateVector(layout, _chebyshev_propagate(diag, src, dst, amp, t, psi.amps))
 
 
 def reduced_qubit_state(psi: StateVector, k: int) -> DensityMatrix:

@@ -12,6 +12,7 @@ from catbath.dynamics import (
     ReservoirSpec,
     analytic_joint_state,
     branch_amplitudes,
+    branch_states,
     cat_with_ground_qubits,
     coherence_factor,
     evolve_excitation_blocks,
@@ -295,6 +296,96 @@ def test_block_engine_properties(seed, n, cutoff, t_ns):
     assert np.max(np.abs(after - before)) < 1e-12
     dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, t_ns * NS)
     assert np.max(np.abs(dense.amps - out.amps)) < 1e-12
+
+
+def _random_state(layout: SpaceLayout, seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    return StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def _block_eigh_oracle(spec: ReservoirSpec, psi: StateVector, t: float) -> np.ndarray:
+    """exp(-iHt) psi by one dense eigh per total excitation number.
+
+    Each block is built from the basis tuples (n, b_0, ..., b_{N-1})
+    themselves: an excited qubit k in |n, b> couples to |n+1, b without
+    k> at lambda_k/2 sqrt(n+1).
+    """
+    layout = psi.layout
+    cutoff, n_q = layout.dims[0], spec.n_qubits
+    blocks: dict[int, list[tuple]] = {}
+    for levels in np.ndindex(*layout.dims):
+        blocks.setdefault(sum(levels), []).append(levels)
+    out = np.zeros(layout.dim, dtype=complex)
+    for states in blocks.values():
+        pos = {s: i for i, s in enumerate(states)}
+        h = np.zeros((len(states), len(states)))
+        for i, (n, *b) in enumerate(states):
+            h[i, i] = sum(d for d, bk in zip(spec.detunings, b) if bk)
+            for k in range(n_q):
+                if b[k] and n + 1 < cutoff:
+                    j = pos[(n + 1, *b[:k], 0, *b[k + 1 :])]
+                    h[i, j] = h[j, i] = spec.couplings[k] / 2.0 * math.sqrt(n + 1.0)
+        idx = [layout.index(s) for s in states]
+        w, v = np.linalg.eigh(h)
+        out[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amps[idx]))
+    return out
+
+
+def test_engine_matches_block_eigh_oracle_n8():
+    # cutoff 20 at N = 8: the middle blocks hold all 256 qubit patterns
+    detunings = (-2.2, 1.4, 3.1, -0.7, 0.9, -1.6, 2.5, 0.3)
+    spec = ReservoirSpec(table_spec(8).couplings, tuple(d * MHZ for d in detunings), N_MEAN)
+    psi0 = _random_state(SpaceLayout((20,) + (2,) * 8), 8)
+    t = 137.3 * NS
+    out = evolve_excitation_blocks(spec, psi0, t, 20)
+    assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, psi0, t))) < 1e-12
+
+
+def test_engine_long_time_matches_dense():
+    # tripled couplings take the series to about a thousand terms at 1 us
+    lams = tuple(3.0 * lam for lam in table_spec(2).couplings)
+    spec = ReservoirSpec(lams, (1.5 * MHZ, -0.7 * MHZ), N_MEAN)
+    cutoff = 40
+    psi0 = cat_with_ground_qubits(ALPHA, spec, cutoff)
+    dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, 1e-6)
+    out = evolve_excitation_blocks(spec, psi0, 1e-6, cutoff)
+    assert np.max(np.abs(out.amps - dense.amps)) < 1e-12
+
+
+def test_engine_time_zero_and_reversal():
+    spec = table_spec(4)
+    cutoff = 20
+    psi0 = _random_state(SpaceLayout((cutoff,) + (2,) * 4), 4)
+    assert np.array_equal(evolve_excitation_blocks(spec, psi0, 0.0, cutoff).amps, psi0.amps)
+    forward = evolve_excitation_blocks(spec, psi0, 150 * NS, cutoff)
+    back = evolve_excitation_blocks(spec, forward, -150 * NS, cutoff)
+    assert np.max(np.abs(back.amps - psi0.amps)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_semiclassical_model_rejects_non_finite_time(t):
+    spec = table_spec(2)
+    with pytest.raises(ValueError, match="t must be finite"):
+        coherence_factor(t, spec)
+    with pytest.raises(ValueError, match="t must be finite"):
+        coherence_factor(np.array([0.0, t, 5e-9]), spec)
+    with pytest.raises(ValueError, match="t must be finite"):
+        branch_states(t, spec)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_analytic_joint_state_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        analytic_joint_state(t, ALPHA, table_spec(2), 14)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_engine_rejects_non_finite_time(t):
+    spec = table_spec(2)
+    psi0 = cat_with_ground_qubits(ALPHA, spec, 14)
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve_excitation_blocks(spec, psi0, t, 14)
 
 
 def test_reduced_states_match_partial_trace():
