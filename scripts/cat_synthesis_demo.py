@@ -28,7 +28,7 @@ def main():
     args = ap.parse_args()
     try:
         cfg = load_config(args.config)
-    except (OSError, ConfigError) as exc:
+    except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
 
     alpha = cfg.scenario.alpha

@@ -185,9 +185,13 @@ def parse_config(data: dict) -> DeviceConfig:
 
 
 def load_config(path: str) -> DeviceConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config root: not valid YAML ({exc})") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        raise ConfigError(f"config file: {exc}") from exc
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config root: not valid YAML ({exc})") from exc
     return parse_config(data)

@@ -7,7 +7,8 @@ lambda/2 = J1(eps/nu) xi, while the off-resonant harmonics produce AC
 Stark shifts S1 and S2.  The module computes the coupling and the
 shifts in closed form, the full time-dependent interaction Hamiltonian,
 and the swap frequency from the one-period Floquet map of that
-Hamiltonian.
+Hamiltonian.  The Bessel functions J_n come from Miller's backward
+recurrence (hilbert._bessel_orders), all orders in one sweep.
 
 Layouts are qubit (x) boson, qubit first.
 """
@@ -19,9 +20,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .hilbert import OperatorMatrix, SpaceLayout, StateVector, annihilation, evolve_td
+from .hilbert import (
+    OperatorMatrix,
+    SpaceLayout,
+    StateVector,
+    _bessel_orders,
+    annihilation,
+    evolve_td,
+)
 
 __all__ = [
     "FloquetParams",
@@ -76,8 +83,15 @@ class FloquetParams:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer order."""
-    return float(special.jv(int(n), x))
+    """Bessel function of the first kind J_n(x) for integer order.
+
+    J_|n| is the last order of one backward recurrence,
+    J_{k-1} = (2k/x) J_k - J_{k+1}, normalized by J_0 + 2 sum_k J_2k = 1
+    (Miller's algorithm, see hilbert._bessel_orders); J_{-n} = (-1)^n J_n.
+    """
+    n = int(n)
+    jn = float(_bessel_orders(abs(n), x)[-1])
+    return -jn if n < 0 and n % 2 else jn
 
 
 def effective_coupling(p: FloquetParams) -> float:
@@ -91,31 +105,25 @@ def stark_shifts(p: FloquetParams, n_max: int = 25) -> tuple[float, float]:
     S1 = sum [J_n(mu) xi]^2 / ((1-n) nu)
     S2 = sum 2 [J_n(mu) xi]^2 / ((1-n) nu + K)
 
-    The series is summed over |n| <= n_max; the edge terms must be
-    below 1e-6 of the totals or a convergence warning is raised.
+    The series is summed over |n| <= n_max, with every J_|n| from one
+    recurrence sweep and J_{-n}^2 = J_n^2; the edge terms must be below
+    1e-6 of the totals or a convergence warning is raised.
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 for series truncation")
-    s1 = 0.0
-    s2 = 0.0
-    edge1 = 0.0
-    edge2 = 0.0
-    for n in range(-n_max, n_max + 1):
-        if n == 1:
-            continue
-        num = (bessel_j(n, p.mu) * p.xi) ** 2
-        den2 = (1 - n) * p.nu + p.K
-        if abs(den2) < 1e-9 * p.nu:
-            raise ValueError(
-                f"resonant denominator (1-n) nu + K = 0 at harmonic n = {n}"
-            )
-        t1 = num / ((1 - n) * p.nu)
-        t2 = 2.0 * num / den2
-        s1 += t1
-        s2 += t2
-        if abs(n) == n_max:
-            edge1 = max(edge1, abs(t1))
-            edge2 = max(edge2, abs(t2))
+    n = np.delete(np.arange(-n_max, n_max + 1), n_max + 1)  # every n but 1
+    num = (_bessel_orders(n_max, p.mu)[np.abs(n)] * p.xi) ** 2
+    den2 = (1 - n) * p.nu + p.K
+    resonant = n[np.abs(den2) < 1e-9 * p.nu]
+    if resonant.size:
+        raise ValueError(
+            f"resonant denominator (1-n) nu + K = 0 at harmonic n = {resonant[0]}"
+        )
+    t1 = num / ((1 - n) * p.nu)
+    t2 = 2.0 * num / den2
+    s1, s2 = float(t1.sum()), float(t2.sum())
+    edge = np.abs(n) == n_max
+    edge1, edge2 = np.abs(t1[edge]).max(), np.abs(t2[edge]).max()
     if (s1 != 0 and edge1 > 1e-6 * abs(s1)) or (s2 != 0 and edge2 > 1e-6 * abs(s2)):
         warnings.warn(
             f"Stark series not converged at n_max={n_max}; increase n_max",

@@ -44,6 +44,10 @@ _TAIL_TOL = 1e-8
 _DISPLACEMENT_TOL = 1e-6
 # smallest Chebyshev coefficient _chebyshev_propagate keeps
 _CHEBYSHEV_TOL = 1e-17
+# _bessel_orders: rescale the backward sweep past this magnitude, and
+# below this |x|, where 2k/x could overflow, take the series' first term
+_BESSEL_RESCALE = 1e250
+_BESSEL_SMALL_X = 1e-8
 
 
 class TruncationWarning(UserWarning):
@@ -251,6 +255,39 @@ def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = No
     return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
 
 
+def _bessel_orders(n_max: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_{n_max}(x) for real x, from one backward recurrence.
+
+    Miller's algorithm: J_{k-1} = (2k/x) J_k - J_{k+1} runs down from
+    J_{m+1} = 0, J_m = 1 at an order m past both n_max and the Airy
+    transition near k = |x|, where the true J_m is negligible, and the
+    sweep is normalized by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev.
+    9, 24, 1967; Abramowitz & Stegun 9.12).  Run downwards, J is the
+    recurrence's dominant solution, so neither the arbitrary start nor
+    rounding grows along the sweep.  The running values are rescaled when they pass _BESSEL_RESCALE, and odd orders
+    change sign for x < 0.  Below |x| = _BESSEL_SMALL_X the leading
+    series term (x/2)^n / n! is exact to double precision.
+    """
+    if abs(x) < _BESSEL_SMALL_X:
+        return np.cumprod(np.concatenate(([1.0], (x / 2.0) / np.arange(1.0, n_max + 1))))
+    ax = abs(x)
+    m = int(max(n_max, ax) + 15.0 * ax ** (1.0 / 3.0) + 50.0)
+    j = np.zeros(m + 1)
+    above, cur = 0.0, 1.0  # J_{k+1} and J_k, up to a common factor
+    for k in range(m, 0, -1):
+        j[k] = cur
+        above, cur = cur, 2.0 * k / ax * cur - above
+        if abs(cur) > _BESSEL_RESCALE:
+            j[k:] /= _BESSEL_RESCALE
+            above /= _BESSEL_RESCALE
+            cur /= _BESSEL_RESCALE
+    j[0] = cur
+    j /= j[0] + 2.0 * j[2::2].sum()
+    if x < 0:
+        j[1::2] = -j[1::2]
+    return j[: n_max + 1]
+
+
 def _chebyshev_propagate(
     diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, t: float,
     x: np.ndarray,
@@ -268,8 +305,9 @@ def _chebyshev_propagate(
     formed, so the cost is about |rt| sparse products.  t may be
     negative.
     """
-    # imported here: at module level scipy.sparse would load on every CLI start
-    from scipy import sparse, special
+    # imported here: the exact block engine is the package's only user of
+    # scipy, and a module-level import would load it on every CLI start
+    from scipy import sparse
 
     dim = diag.size
     radius = np.bincount(src, np.abs(amp), dim) + np.bincount(dst, np.abs(amp), dim)
@@ -282,7 +320,7 @@ def _chebyshev_propagate(
     # cut below always falls inside
     k = np.arange(int(abs(z) + 15.0 * abs(z) ** (1.0 / 3.0) + 50.0))
     minus_i_power = np.array([1, -1j, -1, 1j])[k % 4]
-    coef = np.where(k == 0, 1.0, 2.0) * minus_i_power * special.jv(k, z)
+    coef = np.where(k == 0, 1.0, 2.0) * minus_i_power * _bessel_orders(k.size - 1, z)
     coef = coef[: np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1]
     # int32 indices, and arrays that die with the call, keep the assembly small
     as_int32 = {"dtype": np.int32, "casting": "same_kind"}

@@ -1,11 +1,16 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import catbath
 from catbath import analysis, dynamics
 from catbath.cli import _reservoir_from_config, _write_csv, main
 from catbath.config import (
@@ -429,3 +434,44 @@ def test_wigner_cli_map_is_finite(tmp_path, config_path):
                  "--out", str(out)]) == 0
     w = np.array([float(r["w"]) for r in read_rows(out)])
     assert w.size == 15 and np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "device.yaml"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match="config file"):
+        load_config(str(path))
+    out = tmp_path / "d.csv"
+    assert main(["decohere", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: config file")
+    assert not out.exists()
+
+
+def test_cli_runs_load_no_scipy(tmp_path, config_path):
+    # a fresh interpreter: the test session itself has imported scipy
+    script = f"""
+import json, sys
+from catbath.cli import main
+from catbath.config import load_config
+load_config({config_path!r})
+out = {str(tmp_path)!r}
+assert main(["decohere", "--config", {config_path!r}, "--n-qubits", "2", "--t-max", "4",
+             "--dt", "1", "--out", out + "/d.csv"]) == 0
+assert main(["wigner", "--config", {config_path!r}, "--out", out + "/w.csv"]) == 0
+assert main(["prep-cat", "--config", {config_path!r}, "--steps-out", out + "/s.csv",
+             "--fock-out", out + "/f.csv"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    src = os.path.dirname(os.path.dirname(catbath.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "d.csv").exists() and (tmp_path / "w.csv").exists()

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from catbath.floquet import (
     FloquetParams,
@@ -15,9 +17,12 @@ from catbath.floquet import (
     stark_shifts,
     swap_frequency,
 )
-from catbath.hilbert import SpaceLayout
+from catbath.config import load_config
+from catbath.hilbert import SpaceLayout, _bessel_orders
 
 from conftest import DRIVE_TABLE, LAMBDA_HALF_TABLE, MHZ, drive_params
+
+DEVICE_YAML = Path(__file__).parent.parent / "configs" / "device.yaml"
 
 
 def test_bessel_trivial_values():
@@ -36,6 +41,56 @@ def test_bessel_against_mpmath(n, x):
 @given(st.integers(1, 5), st.floats(0.01, 9.0))
 def test_bessel_reflection(n, x):
     assert bessel_j(-n, x) == pytest.approx((-1) ** n * bessel_j(n, x), abs=1e-12)
+
+
+def mp_bessel_orders(n, z):
+    """J_0(z), ..., J_{n-1}(z) to about 45 digits.
+
+    mpmath.besselj gives the two highest orders; the exact three-term
+    recurrence, run downwards in 50-digit arithmetic, gives the rest.
+    Calling besselj at every order would cost about 8 ms an order at
+    |z| = 1000.
+    """
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        j = [mpmath.mpf(0)] * n
+        j[n - 1], j[n - 2] = mpmath.besselj(n - 1, z), mpmath.besselj(n - 2, z)
+        for k in range(n - 2, 0, -1):
+            j[k - 1] = 2 * k / z * j[k] - j[k + 1]
+        return np.array([float(v) for v in j])
+
+
+@pytest.mark.parametrize("z", [177.9, 1000.0, -500.0])
+def test_bessel_orders_against_mpmath_through_chebyshev_length(z):
+    # every order a Chebyshev series at argument z computes (the same
+    # length as hilbert._chebyshev_propagate), so the _CHEBYSHEV_TOL cut
+    # falls inside
+    n = int(abs(z) + 15.0 * abs(z) ** (1.0 / 3.0) + 50.0)
+    j = _bessel_orders(n - 1, z)
+    ref = mp_bessel_orders(n, z)
+    for k in range(0, n, 37):
+        assert ref[k] == pytest.approx(float(mpmath.besselj(k, z)), rel=1e-15, abs=1e-300)
+    assert np.flatnonzero(2.0 * np.abs(ref) > 1e-17)[-1] < n - 1
+    err = np.abs(j - ref)
+    assert err.max() <= 1e-15
+    big = np.abs(ref) > 1e-250
+    assert np.max(err[big] / np.abs(ref[big])) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, -1e-9, 2e-8])
+def test_bessel_orders_tiny_arguments(x):
+    j = _bessel_orders(40, x)
+    assert np.all(np.isfinite(j))
+    ref = np.array([float(mpmath.besselj(k, x)) for k in range(41)])
+    big = np.abs(ref) > 1e-250
+    assert np.all(np.abs(j[~big]) <= 1e-250)
+    assert np.max(np.abs(j[big] - ref[big]) / np.abs(ref[big])) <= 1e-14
+
+
+def test_bessel_reflection_is_exact():
+    for x in (-7.3, -0.2, 0.0, 1e-9, 0.43, 3.1, 25.0):
+        for n in range(31):
+            assert bessel_j(-n, x) == (-1) ** n * bessel_j(n, x), (n, x)
 
 
 def test_effective_coupling_table():
@@ -69,6 +124,23 @@ def test_stark_shifts_long_series_oracle(r1_params):
     s1_long, s2_long = stark_shifts(r1_params, n_max=200)
     assert s1 == pytest.approx(s1_long, rel=1e-9)
     assert s2 == pytest.approx(s2_long, rel=1e-9)
+
+
+def test_stark_shifts_match_scipy_oracle_device_rows():
+    # independent oracle: the series term by term on scipy's jv
+    cfg = load_config(str(DEVICE_YAML))
+    assert len(cfg.qubits) == 8
+    for q in cfg.qubits:
+        p = q.floquet_params(cfg.omega_s_MHz)
+        s1 = s2 = 0.0
+        for n in range(-25, 26):
+            if n != 1:
+                num = (special.jv(n, p.mu) * p.xi) ** 2
+                s1 += num / ((1 - n) * p.nu)
+                s2 += 2.0 * num / ((1 - n) * p.nu + p.K)
+        got = stark_shifts(p)
+        assert got[0] == pytest.approx(s1, rel=1e-13, abs=0), q.name
+        assert got[1] == pytest.approx(s2, rel=1e-13, abs=0), q.name
 
 
 def test_stark_s1_dominated_by_n0_term(r1_params):
