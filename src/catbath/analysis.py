@@ -46,14 +46,23 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda in bits, with 0 log 0 = 0."""
-    lam = np.linalg.eigvalsh(rho.mat)
-    if lam.min() < -1e-8:
+def _entropy_bits(mats: np.ndarray) -> np.ndarray:
+    """-sum lambda log2 lambda in bits of each matrix of a (..., d, d) stack.
+
+    0 log 0 = 0; an eigenvalue below -1e-8 is an error, and smaller
+    negative ones count as 0.  Never returns -0.0.
+    """
+    lam = np.linalg.eigvalsh(mats)
+    if lam.size and lam.min() < -1e-8:
         raise ValueError(f"state has a negative eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 0]
-    return float(max(0.0, -np.sum(lam * np.log2(lam))))
+    terms = lam * np.log2(np.where(lam > 0, lam, 1.0))
+    return np.maximum(0.0, -np.sum(terms, axis=-1)) + 0.0
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum lambda log2 lambda in bits, with 0 log 0 = 0."""
+    return float(_entropy_bits(rho.mat))
 
 
 def psd_project(raw: DensityMatrix) -> DensityMatrix:

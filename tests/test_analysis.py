@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbath.analysis import (
+    _entropy_bits,
     branch_from_tomo,
     psd_project,
     reservoir_distinguishability,
@@ -73,6 +74,17 @@ def test_entropy_values():
     assert von_neumann_entropy(DensityMatrix(Q, np.eye(2) / 2)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         von_neumann_entropy(DensityMatrix(Q, np.diag([1.5, -0.5]).astype(complex)))
+
+
+def test_entropy_of_a_stack_matches_one_at_a_time(rng):
+    states = [random_qubit_state(rng) for _ in range(10)] + [DensityMatrix(Q, GG)]
+    stack = _entropy_bits(np.array([rho.mat for rho in states]))
+    assert stack.shape == (11,)
+    assert stack.tolist() == [von_neumann_entropy(rho) for rho in states]
+    # a pure state is +0.0, which a CSV prints as 0 rather than -0
+    assert math.copysign(1.0, stack[-1]) == 1.0
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        _entropy_bits(np.array([GG, np.diag([1.5, -0.5]).astype(complex)]))
 
 
 def test_entropy_unitary_invariance(rng):

@@ -410,6 +410,46 @@ def test_warnings_log_groups_by_kind(tmp_path):
     assert "last: qubit excitation 4.006 " in strained[0]
 
 
+def test_decohere_truncation_warning_once_per_run(tmp_path):
+    # the coherent state is built once for the whole time grid
+    data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 12})
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dec.csv"
+    assert main(["decohere", "--config", str(path), "--n-qubits", "2", "--t-max", "20",
+                 "--dt", "0.5", "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 41
+    lines = (tmp_path / "dec.csv.warnings.log").read_text().splitlines()
+    truncation = [line for line in lines if line.startswith("TruncationWarning")]
+    assert len(truncation) == 1
+    assert truncation[0].startswith("TruncationWarning x1: coherent state truncation tail ")
+
+
+def test_decohere_t0_row_prints_no_negative_zero(tmp_path, config_path):
+    out = tmp_path / "dec.csv"
+    assert main(["decohere", "--config", config_path, "--t-max", "1", "--dt", "0.5",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,1,0,0"
+
+
+def test_decohere_csv_independent_of_blas_threads(tmp_path):
+    # a fresh interpreter per thread count: BLAS reads it when it loads
+    src = os.path.dirname(os.path.dirname(catbath.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "catbath.cli", "decohere", "--config", str(DEVICE_YAML),
+             "--n-qubits", "8", "--t-max", "20", "--dt", "0.5", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_write_csv_is_atomic(tmp_path):
     path = tmp_path / "out.csv"
     _write_csv(str(path), ["a"], [(1.0,)])

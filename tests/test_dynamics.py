@@ -11,6 +11,7 @@ from catbath.analysis import von_neumann_entropy
 from catbath.dynamics import (
     ReservoirSpec,
     analytic_joint_state,
+    analytic_qubit_states,
     branch_amplitudes,
     branch_states,
     cat_with_ground_qubits,
@@ -378,6 +379,55 @@ def test_semiclassical_model_rejects_non_finite_time(t):
 def test_analytic_joint_state_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="t must be finite"):
         analytic_joint_state(t, ALPHA, table_spec(2), 14)
+
+
+def _strained_messages(caught) -> list[str]:
+    return [str(w.message) for w in caught if "branch model is strained" in str(w.message)]
+
+
+def _qubit_states_against_joint(times, alpha, spec, cutoff):
+    """Largest deviation from the per-time contraction, and both warning lists."""
+    with warnings.catch_warnings(record=True) as fast:
+        warnings.simplefilter("always")
+        got = analytic_qubit_states(times, alpha, spec, cutoff)
+    with warnings.catch_warnings(record=True) as slow:
+        warnings.simplefilter("always")
+        ref = [reduced_qubit_state(analytic_joint_state(t, alpha, spec, cutoff), 0).mat
+               for t in times]
+    assert got.shape == (len(times), 2, 2)
+    return np.max(np.abs(got - np.array(ref))), _strained_messages(fast), _strained_messages(slow)
+
+
+def test_analytic_qubit_states_match_joint_state_random():
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        cutoff = int(rng.integers(1, 14))  # cutoff < N included
+        lams = tuple(rng.uniform(1.0, 10.0, n) * MHZ)
+        detuned = rng.random() < 0.5
+        deltas = tuple(rng.uniform(-3.0, 3.0, n) * MHZ * detuned)
+        alpha = complex(rng.normal(0.0, 1.5), rng.normal(0.0, 1.5))
+        spec = ReservoirSpec(lams, deltas, abs(alpha) ** 2)
+        times = np.concatenate([[0.0], rng.uniform(0.0, 200.0, 6) * NS])
+        err, fast, slow = _qubit_states_against_joint(times, alpha, spec, cutoff)
+        assert err < 1e-12, (n, cutoff, alpha, detuned)
+        assert fast == slow
+
+
+def test_analytic_qubit_states_match_joint_state_n8():
+    # 41 times cross chunk boundaries, and most of them strain the model
+    times = np.linspace(0.0, 200.0, 41) * NS
+    err, fast, slow = _qubit_states_against_joint(times, ALPHA, table_spec(8), 40)
+    assert err < 1e-12
+    assert len(slow) > 10 and fast == slow
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+def test_analytic_qubit_states_reject_bad_time(bad):
+    times = np.array([0.0, 5e-9, bad, 10e-9])
+    match = "nonnegative" if bad == -1e-9 else "t must be finite"
+    with pytest.raises(ValueError, match=match):
+        analytic_qubit_states(times, ALPHA, table_spec(2), 14)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
