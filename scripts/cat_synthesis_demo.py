@@ -40,7 +40,7 @@ def main():
         print(f"      {s.n}   {s.theta:9.4f}   {s.t * 1e9:6.2f}")
 
     f_trunc = catprep.truncation_fidelity(spec)
-    print(f"truncation fidelity of the {spec.cutoff_star}-photon target: {f_trunc:.4f}")
+    print(f"truncation fidelity of the {catprep.N_STAR}-photon target: {f_trunc:.4f}")
     target = catprep.target_state(spec)
     vacuum = StateVector(target.layout, np.eye(target.layout.dim)[0])
     f_fwd = fidelity(catprep.apply_sequence(steps, vacuum, "forward", xi=xi), target)

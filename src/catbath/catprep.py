@@ -5,8 +5,16 @@ decomposition has only even photon numbers.  A backward-elimination
 sweep over the n-excitation manifolds {|g,n>, |e,n-1>} chooses the
 resonant swap angles that empty the target state into the vacuum; the
 forward (laboratory) order of the same pulses then prepares the target
-from |g,0>.  A final cavity displacement D(alpha/2) converts the phase
-cat into the amplitude cat N+(|0> + |alpha>).
+from |g,0> (Law & Eberly, PRL 76, 1055, 1996).  A final cavity
+displacement D(alpha/2) converts the phase cat into the amplitude cat
+N+(|0> + |alpha>).
+
+The swaps are applied in closed form.  The resonant exchange
+xi (a |e><g| + a^dag |g><e|) keeps each manifold {|g,n>, |e,n-1>}
+closed and rotates it at sqrt(n) xi, which is the photon-resolved Rabi
+kernel of the reservoir models (dynamics._fock_rabi_amplitudes at
+coupling 2 xi and no detuning); the X_pi flip exp(-i pi/2 sigma_x)
+swaps the qubit rows with a factor -i.  No matrix is built.
 
 Protocol states live on a qubit (x) boson layout (qubit is factor 0).
 """
@@ -18,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    OperatorMatrix,
-    SpaceLayout,
-    StateVector,
-    annihilation,
-    displacement,
-    evolve,
-)
+from .dynamics import _fock_rabi_amplitudes
+from .hilbert import SpaceLayout, StateVector, displacement
 
 __all__ = [
     "CatSpec",
@@ -35,28 +37,19 @@ __all__ = [
     "backward_angles",
     "apply_sequence",
     "make_amplitude_cat",
-    "jc_hamiltonian",
-    "x_pi",
 ]
 
-_X_PI = np.array([[0.0, -1j], [-1j, 0.0]])  # exp(-i pi/2 sigma_x)
+# operational cutoff N* of the protocol; even, as the target is even
+N_STAR = 6
 # amplitudes below this count as empty in backward_angles
 _ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CatSpec:
-    """Target cat parameters: full separation alpha and operational cutoff."""
+    """Target even cat by its full separation alpha."""
 
     alpha: complex
-    parity: str = "even"
-    cutoff_star: int = 6
-
-    def __post_init__(self):
-        if self.parity != "even":
-            raise ValueError("only even-parity cats are supported")
-        if self.cutoff_star % 2 != 0:
-            raise ValueError("cutoff_star must be even for an even-parity target")
 
 
 @dataclass(frozen=True)
@@ -75,8 +68,8 @@ def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -
     odd entries zero.  With `renormalize` the truncated vector is scaled
     to unit norm (the protocol's target state).
     """
-    if cutoff < spec.cutoff_star:
-        raise ValueError(f"cutoff {cutoff} below operational cutoff {spec.cutoff_star}")
+    if cutoff < N_STAR:
+        raise ValueError(f"cutoff {cutoff} below operational cutoff {N_STAR}")
     alpha = complex(spec.alpha)
     norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -93,33 +86,33 @@ def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -
 
 def truncation_fidelity(spec: CatSpec) -> float:
     """Overlap F = sum_{n <= N*} |c_n|^2 of the ideal cat with its truncation."""
-    return float(np.sum(np.abs(cat_fock_amplitudes(spec, spec.cutoff_star)) ** 2))
+    return float(np.sum(np.abs(cat_fock_amplitudes(spec, N_STAR)) ** 2))
 
 
-def jc_hamiltonian(xi: float, cutoff: int) -> OperatorMatrix:
-    """Resonant exchange xi (a sigma+ + a^dag sigma-) on qubit (x) boson."""
-    layout = SpaceLayout((2, cutoff))
-    a = annihilation(cutoff).mat
-    sig_p = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
-    term = xi * np.kron(sig_p, a)
-    return OperatorMatrix(layout, term + term.conj().T)
+def _swap(amps: np.ndarray, xi: float, t: float) -> np.ndarray:
+    """exp(-i xi t (a |e><g| + a^dag |g><e|)) on a (2, L) qubit (x) boson array.
+
+    Manifold {|g,n>, |e,n-1>} turns by sqrt(n) xi t; |g,0> and the
+    truncated top level |e,L-1> have no partner and stay put.
+    """
+    g, e = amps
+    c, s = _fock_rabi_amplitudes(np.arange(1, g.size), 2.0 * xi, 0.0, t)
+    out = amps.copy()
+    out[0, 1:] = c * g[1:] + s * e[:-1]
+    out[1, :-1] = s * g[1:] + c * e[:-1]
+    return out
 
 
-def x_pi(layout: SpaceLayout) -> OperatorMatrix:
-    """Global qubit flip exp(-i pi/2 sigma_x) on a qubit (x) boson layout."""
-    return OperatorMatrix(layout, np.kron(_X_PI, np.eye(layout.dims[1])))
-
-
-def _protocol_layout(spec: CatSpec) -> SpaceLayout:
-    return SpaceLayout((2, spec.cutoff_star + 1))
+def _flip(amps: np.ndarray) -> np.ndarray:
+    """Global qubit flip exp(-i pi/2 sigma_x) on a (2, L) array."""
+    return -1j * amps[::-1]
 
 
 def target_state(spec: CatSpec) -> StateVector:
     """|g> (x) truncated, renormalized phase cat on the protocol layout."""
-    boson = cat_fock_amplitudes(spec, spec.cutoff_star, renormalize=True)
-    amps = np.zeros(2 * (spec.cutoff_star + 1), dtype=complex)
-    amps[: spec.cutoff_star + 1] = boson
-    return StateVector(_protocol_layout(spec), amps)
+    amps = np.zeros((2, N_STAR + 1), dtype=complex)
+    amps[0] = cat_fock_amplitudes(spec, N_STAR, renormalize=True)
+    return StateVector(SpaceLayout(amps.shape), amps.ravel())
 
 
 def backward_angles(spec: CatSpec, xi: float) -> list[ProtocolStep]:
@@ -134,16 +127,10 @@ def backward_angles(spec: CatSpec, xi: float) -> list[ProtocolStep]:
     """
     if xi <= 0:
         raise ValueError("coupling xi must be positive")
-    n_star = spec.cutoff_star
-    cutoff = n_star + 1
-    layout = _protocol_layout(spec)
-    psi = target_state(spec)
-    h_jc = jc_hamiltonian(xi, cutoff)
-    flip = x_pi(layout)
+    psi = target_state(spec).amps.reshape(2, -1)
     steps: list[ProtocolStep] = []
-    for n in range(n_star, 0, -1):
-        a_g = psi.amps[layout.index((0, n))]
-        a_e = psi.amps[layout.index((1, n - 1))]
+    for n in range(N_STAR, 0, -1):
+        a_g, a_e = psi[0, n], psi[1, n - 1]
         if abs(a_g) < _ZERO_TOL and abs(a_e) < _ZERO_TOL:
             continue
         if abs(a_g) < _ZERO_TOL:
@@ -152,8 +139,7 @@ def backward_angles(spec: CatSpec, xi: float) -> list[ProtocolStep]:
             ratio = a_e / (1j * a_g)
             theta = math.pi / 2.0 + math.atan(ratio.real)
         t_n = theta / (math.sqrt(n) * xi)
-        psi = evolve(h_jc, psi, t_n)
-        psi = StateVector(layout, flip.mat @ psi.amps)
+        psi = _flip(_swap(psi, xi, t_n))
         steps.append(ProtocolStep(n=n, theta=theta, t=t_n))
     return steps
 
@@ -177,18 +163,14 @@ def apply_sequence(
         raise ValueError("sequence requires a qubit (x) boson layout")
     if steps and layout.dims[1] < max(s.n for s in steps) + 1:
         raise ValueError("boson cutoff too small for the sequence")
-    h_jc = jc_hamiltonian(xi, layout.dims[1])
-    flip = x_pi(layout)
-    psi = psi0
-    ordered = list(reversed(steps)) if direction == "forward" else list(steps)
-    for step in ordered:
-        if direction == "forward":
-            psi = StateVector(layout, flip.mat @ psi.amps)
-            psi = evolve(h_jc, psi, step.t)
-        else:
-            psi = evolve(h_jc, psi, step.t)
-            psi = StateVector(layout, flip.mat @ psi.amps)
-    return psi
+    psi = psi0.amps.reshape(layout.dims)
+    if direction == "forward":
+        for step in reversed(steps):
+            psi = _swap(_flip(psi), xi, step.t)
+    else:
+        for step in steps:
+            psi = _flip(_swap(psi, xi, step.t))
+    return StateVector(layout, psi.ravel())
 
 
 def make_amplitude_cat(spec: CatSpec, cutoff: int, xi: float = 1.0) -> StateVector:
@@ -197,18 +179,18 @@ def make_amplitude_cat(spec: CatSpec, cutoff: int, xi: float = 1.0) -> StateVect
     The swap protocol runs on the exact (N*+1)-level space, the result
     is zero-padded to `cutoff`, then displaced by alpha/2.
     """
-    if cutoff < spec.cutoff_star + 1:
+    if cutoff < N_STAR + 1:
         raise ValueError("cutoff too small for the protocol support")
     steps = backward_angles(spec, xi)
-    layout = _protocol_layout(spec)
+    layout = SpaceLayout((2, N_STAR + 1))
     vac = np.zeros(layout.dim, dtype=complex)
     vac[0] = 1.0
     prepared = apply_sequence(steps, StateVector(layout, vac), "forward", xi=xi)
     # qubit ends in |g>; keep the boson amplitudes and fix the global phase
-    boson = prepared.amps[: spec.cutoff_star + 1].copy()
+    boson = prepared.amps[: N_STAR + 1].copy()
     k0 = int(np.argmax(np.abs(boson)))
     boson *= np.exp(-1j * np.angle(boson[k0])) * np.sign(
-        cat_fock_amplitudes(spec, spec.cutoff_star, renormalize=True)[k0].real
+        cat_fock_amplitudes(spec, N_STAR, renormalize=True)[k0].real
     )
     padded = np.zeros(cutoff, dtype=complex)
     padded[: boson.size] = boson

@@ -16,7 +16,10 @@ whole time grid in one call: ``entropy_bits`` from qubit 0's state in
 the photon-resolved branch model, ``dynamics.analytic_qubit_states``,
 while ``coh_factor_abs`` and ``distinguishability`` come from the
 semiclassical ``dynamics.coherence_factor``, with D = sqrt(1 - |coh|^2),
-the trace distance of the pure reservoir records.
+the trace distance of the pure reservoir records.  ``wigner`` maps the
+synthesized cat; ``wigner --time`` and the ``decohere --wigner-times``
+snapshots map the field of the branch model, which starts from the
+ideal cat N+(|0> + |alpha>).
 """
 
 from __future__ import annotations
@@ -174,25 +177,28 @@ def _cmd_decohere(args) -> list[str]:
     if any(t < 0 for t in args.wigner_times or []):
         raise CliError("--wigner-times must be nonnegative")
     spec = _reservoir_from_config(cfg, n)
-    alpha = cfg.scenario.alpha
-    cutoff = cfg.cutoff
     times = np.arange(0.0, t_max + dt / 2.0, dt)
     coh = np.abs(dynamics.coherence_factor(times, spec))
     # trace distance of pure records; the clip keeps a |coh| rounded above 1 finite
     disting = np.sqrt(np.maximum(0.0, 1.0 - coh**2))
-    entropy = analysis._entropy_bits(dynamics.analytic_qubit_states(times, alpha, spec, cutoff))
+    states = dynamics.analytic_qubit_states(times, cfg.scenario.alpha, spec, cfg.cutoff)
+    entropy = analysis._entropy_bits(states)
     header = ["t_ns", "coh_factor_abs", "entropy_bits", "distinguishability"]
     _write_csv(args.out, header, zip(times / NS, coh, entropy, disting))
     outputs = [args.out]
     for t_ns in args.wigner_times or []:
-        psi = dynamics.analytic_joint_state(t_ns * NS, alpha, spec, cutoff)
-        rho_f = dynamics.reduced_field_state(psi)
-        re_grid, im_grid = cfg.scenario.wigner_grid.grids()
-        wmap = tomography.wigner_map(rho_f, re_grid, im_grid)
+        rho_f = _field_state(cfg, spec, t_ns)
+        wmap = tomography.wigner_map(rho_f, *cfg.scenario.wigner_grid.grids())
         path = f"{args.out}.wigner_t{_fmt(t_ns)}ns.csv"
         _write_wigner(path, wmap)
         outputs.append(path)
     return outputs
+
+
+def _field_state(cfg, spec: dynamics.ReservoirSpec, t_ns: float) -> DensityMatrix:
+    """rho_f(t) of the branch model, from the ideal cat N+(|0> + |alpha>)."""
+    psi = dynamics.analytic_joint_state(t_ns * NS, cfg.scenario.alpha, spec, cfg.cutoff)
+    return dynamics.reduced_field_state(psi)
 
 
 def _write_wigner(path: str, wmap: tomography.WignerMap) -> None:
@@ -208,17 +214,14 @@ def _write_wigner(path: str, wmap: tomography.WignerMap) -> None:
 
 def _cmd_wigner(args) -> list[str]:
     cfg = load_config(args.config)
-    spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
-    cat = catprep.make_amplitude_cat(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
-    rho = density_from_state(cat)
-    if args.time is not None:
-        if args.time < 0:
-            raise CliError("--time must be nonnegative")
-        rspec = _reservoir_from_config(cfg, cfg.scenario.n_qubits)
-        psi = dynamics.analytic_joint_state(
-            args.time * NS, cfg.scenario.alpha, rspec, cfg.cutoff
-        )
-        rho = dynamics.reduced_field_state(psi)
+    if args.time is None:
+        spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
+        cat = catprep.make_amplitude_cat(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
+        rho = density_from_state(cat)
+    elif args.time < 0:
+        raise CliError("--time must be nonnegative")
+    else:
+        rho = _field_state(cfg, _reservoir_from_config(cfg, cfg.scenario.n_qubits), args.time)
     if args.theta:
         rho = tomography.derotate(rho, args.theta)
     re_grid, im_grid = cfg.scenario.wigner_grid.grids()
@@ -351,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_decohere)
 
-    p = sub.add_parser("wigner", help="Wigner map of the prepared cat")
+    p = sub.add_parser("wigner", help="Wigner map of the synthesized cat")
     p.add_argument("--config", required=True)
-    p.add_argument("--time", type=_finite_float, default=None, help="ns of reservoir evolution")
+    p.add_argument("--time", type=_finite_float, default=None, help="ns of reservoir "
+                   "evolution, starting from the ideal cat N+(|0> + |alpha>), not the synthesized one")
     p.add_argument("--theta", type=_finite_float, default=0.0, help="derotation angle, rad")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wigner)

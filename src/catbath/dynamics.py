@@ -8,7 +8,8 @@ drives collective Rabi oscillations.
 
 Both analytic pictures of the |alpha> branch evaluate one Rabi kernel:
 Fock component n drives qubit k at Omega_k(n) =
-sqrt(n lambda_k^2 + delta_k^2).
+sqrt(n lambda_k^2 + delta_k^2).  The same kernel, resonant, gives the
+swaps of the cat synthesis in catprep.
 
 - analytic_joint_state resolves the branch photon number by photon
   number, and each excited qubit shifts the field down by one photon.
@@ -206,7 +207,8 @@ def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
     Omega(n) = sqrt(n lambda^2 + delta^2); the common phase
     exp(-i delta t/2) is left to the caller.  Arguments broadcast.
     sin(Omega t/2)/Omega is written as (t/2) sinc so that Omega = 0
-    needs no special case.
+    needs no special case.  The swaps of catprep take it at
+    lambda = 2 xi, delta = 0.
     """
     omega = np.sqrt(n * lam**2 + delta**2)
     half = omega * t / 2.0
@@ -272,7 +274,8 @@ def analytic_joint_state(
     src = (np.arange(cutoff)[:, None] + excited) * width + np.arange(width)
     amps = branch.ravel().take(src.ravel())
     amps[0] += 1.0  # vacuum branch |0> (x)_k |g>
-    amps /= np.linalg.norm(amps)
+    # an elementwise sum, not a BLAS dot, so no thread count moves the digits
+    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))
     return StateVector(layout, amps)
 
 
@@ -408,4 +411,6 @@ def reduced_field_state(psi: StateVector) -> DensityMatrix:
     """Reduced field-mode state, contracted from the state vector."""
     dims = psi.layout.dims
     tensor = psi.amps.reshape(dims[0], -1)
-    return DensityMatrix(SpaceLayout((dims[0],)), tensor @ tensor.conj().T)
+    # einsum, not @: threaded BLAS would make the digits depend on the thread count
+    mat = np.einsum("ab,cb->ac", tensor, tensor.conj())
+    return DensityMatrix(SpaceLayout((dims[0],)), mat)

@@ -345,7 +345,11 @@ def _chebyshev_propagate(
 
 
 def evolve(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector:
-    """Propagate |psi> by exp(-iHt) via Hermitian eigendecomposition."""
+    """Propagate |psi> by exp(-iHt) via Hermitian eigendecomposition.
+
+    No command calls it: it is the dense oracle of the tests and of the
+    benchmark's checks.
+    """
     _check_same_layout(H, psi)
     _require_hermitian(H)
     return StateVector(psi.layout, _propagate(*np.linalg.eigh(H.mat), t, psi.amps))

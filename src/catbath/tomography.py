@@ -1,9 +1,10 @@
 """Photon-number readout emulation and Wigner reconstruction.
 
 An ancilla qubit resonantly coupled to the field Rabi-oscillates at
-2 xi sqrt(n) inside each Fock manifold, so its excited-state signal
+2 xi sqrt(n) inside each Fock manifold, so from |g> its excited-state
+signal
 
-    P_e(tau) = 1/2 {1 - [P_g(0) - P_e(0)] sum_n P_n cos(2 xi sqrt(n) tau)}
+    P_e(tau) = 1/2 {1 - sum_n P_n cos(2 xi sqrt(n) tau)}
 
 encodes the photon distribution P_n; a constrained least-squares fit
 inverts it.  The Wigner function is the displaced parity,
@@ -44,21 +45,17 @@ _KKT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RabiTrace:
-    """Ancilla Rabi signal P_e(tau) with its drive and initial populations."""
+    """Ancilla Rabi signal P_e(tau) from |g>, with its drive."""
 
     taus: np.ndarray  # s
     pe: np.ndarray
     xi: float  # rad/s
-    pg0: float = 1.0
-    pe0: float = 0.0
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         pe = np.asarray(self.pe, dtype=float)
         if taus.shape != pe.shape or taus.ndim != 1:
             raise ValueError("taus and pe must be equal-length vectors")
-        if self.pg0 + self.pe0 > 1.0 + 1e-12:
-            raise ValueError("initial populations exceed 1")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "pe", pe)
 
@@ -82,26 +79,20 @@ class WignerMap:
         object.__setattr__(self, "values", values)
 
 
-def synthesize_rabi(
-    pn: np.ndarray,
-    xi: float,
-    taus: np.ndarray,
-    pg0: float = 1.0,
-    pe0: float = 0.0,
-) -> RabiTrace:
+def synthesize_rabi(pn: np.ndarray, xi: float, taus: np.ndarray) -> RabiTrace:
     """Forward model of the photon-number Rabi signal."""
     pn = np.asarray(pn, dtype=float)
     if pn.min() < -1e-12 or abs(pn.sum() - 1.0) > 1e-9:
         raise ValueError("pn is not a probability distribution")
     taus = np.asarray(taus, dtype=float)
     cosines = np.cos(2.0 * xi * np.sqrt(np.arange(pn.size))[None, :] * taus[:, None])
-    pe = 0.5 * (1.0 - (pg0 - pe0) * (cosines @ pn))
-    return RabiTrace(taus, pe, xi, pg0, pe0)
+    pe = 0.5 * (1.0 - cosines @ pn)
+    return RabiTrace(taus, pe, xi)
 
 
 def _design_matrix(trace: RabiTrace, n_max: int) -> np.ndarray:
     freqs = 2.0 * trace.xi * np.sqrt(np.arange(n_max + 1, dtype=float))
-    return 0.5 * (trace.pg0 - trace.pe0) * np.cos(freqs[None, :] * trace.taus[:, None])
+    return 0.5 * np.cos(freqs[None, :] * trace.taus[:, None])
 
 
 def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:

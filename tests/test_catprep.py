@@ -2,20 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from catbath.catprep import (
     CatSpec,
+    ProtocolStep,
     apply_sequence,
     backward_angles,
     cat_fock_amplitudes,
-    jc_hamiltonian,
     make_amplitude_cat,
     target_state,
     truncation_fidelity,
-    x_pi,
 )
+from catbath.floquet import FloquetParams, full_floquet_hamiltonian
 from catbath.hilbert import SpaceLayout, StateVector, coherent_state, fidelity
 
 from conftest import MHZ
@@ -40,6 +38,18 @@ INTERMEDIATES = {
     1: {("g", 1): -0.80, ("e", 0): -0.59j},
     0: {("g", 0): 1.0},
 }
+
+
+def dense_oracle(cutoff: int):
+    """Dense swap propagator at time t and the X_pi flip matrix.
+
+    The resonant exchange xi (a |e><g| + h.c.) is the sideband drive at
+    t = 0 with no modulation; its exponential comes from eigh.
+    """
+    h = full_floquet_hamiltonian(FloquetParams(xi=XI, eps=0.0, nu=1e3 * XI), 0.0, cutoff)
+    w, v = np.linalg.eigh(h.mat)
+    flip = np.kron([[0, -1j], [-1j, 0]], np.eye(cutoff))
+    return (lambda t: (v * np.exp(-1j * w * t)) @ v.conj().T), flip
 
 
 def vacuum(layout: SpaceLayout) -> StateVector:
@@ -153,31 +163,30 @@ def test_z_conjugation_identity():
         [apply_sequence(steps, StateVector(layout, e_j), "forward", xi=XI).amps
          for e_j in np.eye(layout.dim, dtype=complex)]
     )
-    h = jc_hamiltonian(XI, 7)
-    w, v = np.linalg.eigh(h.mat)
-    flip = x_pi(layout).mat
+    swap, flip = dense_oracle(7)
     u_bwd = np.eye(14, dtype=complex)
     for step in steps:  # n = 6..1: S_n first, then Q_n
-        swap = (v * np.exp(-1j * w * step.t)) @ v.conj().T
-        u_bwd = flip @ swap @ u_bwd
+        u_bwd = flip @ swap(step.t) @ u_bwd
     z = np.kron(np.diag([1.0, -1.0]), np.eye(7)).astype(complex)
     assert np.max(np.abs(z @ u_fwd @ z - u_bwd.conj().T)) < 1e-10
 
 
-def test_x_pi_squares_to_minus_identity():
-    layout = SpaceLayout((2, 7))
-    q = x_pi(layout).mat
-    assert np.max(np.abs(q @ q + np.eye(14))) < 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(0.1, 2 * math.pi))
-def test_swap_unitary_for_all_angles(theta):
-    h = jc_hamiltonian(XI, 7)
-    w, v = np.linalg.eigh(h.mat)
-    t = theta / XI
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    assert np.max(np.abs(u.conj().T @ u - np.eye(14))) < 1e-10
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 12])
+def test_swap_step_matches_dense_oracle(cutoff):
+    # the closed-form swap against the dense exponential, the truncated
+    # top level |e, cutoff-1> included; the flip is the X_pi matrix
+    swap, flip = dense_oracle(cutoff)
+    layout = SpaceLayout((2, cutoff))
+    rng = np.random.default_rng(cutoff)
+    for _ in range(10):
+        amps = rng.normal(size=2 * cutoff) + 1j * rng.normal(size=2 * cutoff)
+        psi = StateVector(layout, amps / np.linalg.norm(amps))
+        t = rng.uniform(0.0, 4.0 * math.pi) / XI
+        step = [ProtocolStep(n=cutoff - 1, theta=t * XI, t=t)]
+        fwd = apply_sequence(step, psi, "forward", xi=XI)
+        bwd = apply_sequence(step, psi, "backward", xi=XI)
+        assert np.max(np.abs(fwd.amps - swap(t) @ flip @ psi.amps)) < 1e-12
+        assert np.max(np.abs(bwd.amps - flip @ swap(t) @ psi.amps)) < 1e-12
 
 
 def test_make_amplitude_cat():
@@ -205,10 +214,3 @@ def test_phase_cat_parity_before_displacement():
     boson = psi.amps[:7]
     parity = np.sum(np.where(np.arange(7) % 2 == 0, 1.0, -1.0) * np.abs(boson) ** 2)
     assert parity == pytest.approx(1.0, abs=1e-9)
-
-
-def test_catspec_validation():
-    with pytest.raises(ValueError):
-        CatSpec(alpha=3.3, parity="odd")
-    with pytest.raises(ValueError):
-        CatSpec(alpha=3.3, cutoff_star=5)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import catbath
-from catbath import analysis, dynamics
+from catbath import analysis, catprep, dynamics
 from catbath.cli import _reservoir_from_config, _write_csv, main
 from catbath.config import (
     MHZ,
@@ -23,7 +23,8 @@ from catbath.config import (
     load_config,
     parse_config,
 )
-from catbath.tomography import synthesize_rabi
+from catbath.hilbert import DensityMatrix, SpaceLayout, TruncationWarning, coherent_state
+from catbath.tomography import synthesize_rabi, wigner_map
 
 from conftest import DRIVE_TABLE
 
@@ -442,12 +443,15 @@ def test_decohere_csv_independent_of_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "catbath.cli", "decohere", "--config", str(DEVICE_YAML),
-             "--n-qubits", "8", "--t-max", "20", "--dt", "0.5", "--out", str(out)],
+             "--n-qubits", "8", "--t-max", "20", "--dt", "0.5", "--wigner-times", "20",
+             "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        snapshot = tmp_path / f"threads{threads}.csv.wigner_t20ns.csv"
+        outputs.append((out.read_bytes(), snapshot.read_bytes()))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
 
 
 def test_write_csv_is_atomic(tmp_path):
@@ -474,6 +478,32 @@ def test_wigner_cli_map_is_finite(tmp_path, config_path):
                  "--out", str(out)]) == 0
     w = np.array([float(r["w"]) for r in read_rows(out)])
     assert w.size == 15 and np.all(np.isfinite(w))
+
+
+def test_wigner_time_maps_the_ideal_cat_without_synthesis(tmp_path, config_path, monkeypatch):
+    # --time starts from the ideal cat N+(|0> + |alpha>), so at t = 0 it
+    # maps that cat; the synthesized one is never built
+    cfg = load_config(config_path)
+    re_grid, im_grid = cfg.scenario.wigner_grid.grids()
+    vac = np.eye(cfg.cutoff)[0]
+    with pytest.warns(TruncationWarning):
+        cat = vac + coherent_state(cfg.scenario.alpha, cfg.cutoff).amps
+    cat /= np.linalg.norm(cat)
+    ideal = wigner_map(DensityMatrix(SpaceLayout((cfg.cutoff,)), np.outer(cat, cat)),
+                       re_grid, im_grid).values.ravel()
+    synthesized = tmp_path / "w.csv"
+    assert main(["wigner", "--config", config_path, "--out", str(synthesized)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wigner --time synthesized the cat")
+
+    monkeypatch.setattr(catprep, "make_amplitude_cat", refuse)
+    out = tmp_path / "w0.csv"
+    assert main(["wigner", "--config", config_path, "--time", "0", "--out", str(out)]) == 0
+    w = np.array([float(r["w"]) for r in read_rows(out)])
+    assert np.max(np.abs(w - ideal)) < 1e-11
+    w_synth = np.array([float(r["w"]) for r in read_rows(synthesized)])
+    assert np.max(np.abs(w_synth - ideal)) > 1e-3
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
