@@ -149,14 +149,14 @@ def _cmd_floquet_calib(args) -> list[str]:
     rows = _read_csv(args.params, required)
     out_rows = []
     for row in rows:
-        p = floquet.FloquetParams(
-            xi=_float_field(row, "xi_MHz", args.params) * MHZ,
-            eps=_float_field(row, "eps_MHz", args.params) * MHZ,
-            nu=_float_field(row, "nu_MHz", args.params) * MHZ,
-            delta=_float_field(row, "delta_MHz", args.params) * MHZ,
-            K=_float_field(row, "K_MHz", args.params) * MHZ,
-            name=row["name"],
-        )
+        fields = {
+            key: _float_field(row, f"{key}_MHz", args.params) * MHZ
+            for key in ("xi", "eps", "nu", "delta", "K")
+        }
+        try:
+            p = floquet.FloquetParams(**fields, name=row["name"])
+        except ValueError as exc:  # nu <= 0, or a value past the float range in rad/s
+            raise CliError(f"{args.params}: row {row['name']}: {exc}") from exc
         s1, s2 = floquet.stark_shifts(p)
         out_rows.append(
             (row["name"], floquet.effective_coupling(p) / MHZ, s1 / MHZ, s2 / MHZ)

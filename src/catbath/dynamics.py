@@ -85,6 +85,9 @@ class ReservoirSpec:
     def __post_init__(self):
         object.__setattr__(self, "couplings", tuple(float(x) for x in self.couplings))
         object.__setattr__(self, "detunings", tuple(float(x) for x in self.detunings))
+        for name in ("couplings", "detunings", "n_mean"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if len(self.couplings) != len(self.detunings):
             raise ValueError("couplings and detunings must have equal length")
         if len(self.couplings) < 1:
@@ -369,8 +372,9 @@ def evolve_excitation_blocks(
     Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
     b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
     lambda_k/2 sqrt(n+1).  H is assembled from these index relations,
-    with at most N + 1 nonzeros per row, and applied to the state by
-    hilbert._chebyshev_propagate in about r|t| sparse products, r the
+    with at most N + 1 nonzeros per row; it is real, and
+    hilbert._chebyshev_propagate applies it in about r|t| real sparse
+    products per nonzero part (real, imaginary) of the state, r the
     half-width of the Gershgorin bound on the spectrum.  H never couples
     two total excitation numbers a^dag a + sum_k |e><e|_k, so the
     population of each is conserved without splitting the state into

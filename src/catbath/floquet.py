@@ -7,8 +7,11 @@ lambda/2 = J1(eps/nu) xi, while the off-resonant harmonics produce AC
 Stark shifts S1 and S2.  The module computes the coupling and the
 shifts in closed form, the full time-dependent interaction Hamiltonian,
 and the swap frequency from the one-period Floquet map of that
-Hamiltonian.  The Bessel functions J_n come from Miller's backward
-recurrence (hilbert._bessel_orders), all orders in one sweep.
+Hamiltonian.  The drive keeps {|e,0>, |g,1>} closed, so the map is a
+product of closed-form 2x2 midpoint steps on that manifold; the dense
+Hamiltonian with hilbert.evolve_td is its test oracle.  The Bessel
+functions J_n come from Miller's backward recurrence
+(hilbert._bessel_orders), all orders in one sweep.
 
 Layouts are qubit (x) boson, qubit first.
 """
@@ -21,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    OperatorMatrix,
-    SpaceLayout,
-    StateVector,
-    _bessel_orders,
-    annihilation,
-    evolve_td,
-)
+from .hilbert import OperatorMatrix, SpaceLayout, _bessel_orders, annihilation
 
 __all__ = [
     "FloquetParams",
@@ -61,6 +57,9 @@ class FloquetParams:
     name: str = ""
 
     def __post_init__(self):
+        for name in ("xi", "eps", "nu", "delta", "K", "omega_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu <= 0:
             raise ValueError("modulation frequency nu must be positive")
         ratio = abs(bessel_j(0, self.mu) * self.xi) / self.nu
@@ -163,27 +162,38 @@ def swap_frequency(p: FloquetParams) -> float:
     """Sideband swap frequency from the one-period Floquet map of |e,0>, |g,1>.
 
     The exact drive is periodic in 2 pi/nu and keeps the manifold
-    {|e,0>, |g,1>} closed.  Its one-period propagator has eigenphases
-    phi_1, phi_2; the quasienergy splitting wrap(phi_1 - phi_2) nu/(2 pi)
-    is the angular swap frequency (Shirley, Phys. Rev. 138, B979, 1965).
-    The period is propagated in _STEPS_PER_DRIVE_PERIOD midpoint steps.
-    Returns linear frequency in Hz.
+    {|e,0>, |g,1>} closed; on it H'(t) = h = [[delta, f^*], [f, 0]] with
+    f = xi exp(-i mu sin(nu t)) exp(i nu t).  The period is cut into
+    _STEPS_PER_DRIVE_PERIOD midpoint steps of length dt, and each step
+    is the closed-form 2x2 exponential
+    exp(-i h dt) = exp(-i delta dt/2) [cos(w dt) - i dt sinc(w dt) (h - delta/2)],
+    w = sqrt(delta^2/4 + |f|^2) and sinc(x) = sin(x)/x, all steps in
+    one array pass.  Their
+    time-ordered product has eigenphases phi_1, phi_2; the quasienergy
+    splitting wrap(phi_1 - phi_2) nu/(2 pi) is the angular swap
+    frequency (Shirley, Phys. Rev. 138, B979, 1965).  The common phase
+    of each step cancels in the splitting and is left out.  The map is
+    the one hilbert.evolve_td gives with full_floquet_hamiltonian on a
+    cutoff of 2.  Returns linear frequency in Hz.
     """
     if effective_coupling(p) == 0:
         raise ValueError("zero effective coupling; no swap to measure")
     period = 2.0 * math.pi / p.nu
-    layout = SpaceLayout((2, 2))
-    manifold = [layout.index((1, 0)), layout.index((0, 1))]  # |e,0>, |g,1>
-    columns = []
-    for i in manifold:
-        amps = np.zeros(layout.dim, dtype=complex)
-        amps[i] = 1.0
-        psi = evolve_td(
-            lambda t: full_floquet_hamiltonian(p, t, 2),
-            StateVector(layout, amps),
-            period,
-            period / _STEPS_PER_DRIVE_PERIOD,
-        )
-        columns.append(psi.amps[manifold])
-    lam = np.linalg.eigvals(np.column_stack(columns))
+    dt = period / _STEPS_PER_DRIVE_PERIOD
+    t = (np.arange(_STEPS_PER_DRIVE_PERIOD) + 0.5) * dt
+    f = p.xi * np.exp(-1j * p.mu * np.sin(p.nu * t)) * np.exp(1j * p.nu * t)
+    half = p.delta / 2.0
+    w = np.sqrt(half**2 + np.abs(f) ** 2)
+    # -i dt sin(w dt)/(w dt), finite at w = 0
+    weight = -1j * dt * np.sinc(w * dt / math.pi)
+    cos = np.cos(w * dt)
+    steps = np.empty((t.size, 2, 2), dtype=complex)
+    steps[:, 0, 0] = cos + weight * half
+    steps[:, 1, 1] = cos - weight * half
+    steps[:, 0, 1] = weight * f.conj()
+    steps[:, 1, 0] = weight * f
+    u = steps[0]
+    for step in steps[1:]:
+        u = step @ u
+    lam = np.linalg.eigvals(u)
     return abs(np.angle(lam[0] * np.conj(lam[1]))) * p.nu / (4.0 * math.pi**2)

@@ -292,19 +292,26 @@ def _chebyshev_propagate(
     diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, t: float,
     x: np.ndarray,
 ) -> np.ndarray:
-    """exp(-iHt) x for a sparse Hermitian H, by a Chebyshev series.
+    """exp(-iHt) x for a sparse real symmetric H, by a Chebyshev series.
 
-    H has diagonal `diag` and off-diagonal elements H[src, dst] = amp,
-    H[dst, src] = conj(amp), each pair listed once.  With the Gershgorin
-    interval [c - r, c + r] of the spectrum and H~ = (H - c)/r,
+    H has the real diagonal `diag` and the real off-diagonal elements
+    H[src, dst] = H[dst, src] = amp, each pair listed once; a complex
+    `diag` or `amp` is an error.  With the Gershgorin interval
+    [c - r, c + r] of the spectrum and H~ = (H - c)/r,
     exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  The series
-    runs through the three-term recurrence of T_k and stops at the last
-    term whose coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off
-    faster than exponentially once k > |rt|.  Only H x products are
-    formed, so the cost is about |rt| sparse products.  t may be
-    negative.
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
+    real, and (-i)^k is real for even k and imaginary for odd k, so the
+    three-term recurrence of T_k runs in real arithmetic on the real
+    and on the imaginary part of x, and each part's even and odd terms
+    are summed separately and combined once at the end.  A part of x
+    that is all zero is skipped.  The series stops at the last term
+    whose coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster
+    than exponentially once k > |rt|.  Only H v products are formed,
+    so the cost is about r|t| real sparse products per nonzero part of
+    x.  t may be negative.
     """
+    if np.iscomplexobj(diag) or np.iscomplexobj(amp):
+        raise ValueError("diag and amp must be real: the series needs a real symmetric H")
     # imported here: the exact block engine is the package's only user of
     # scipy, and a module-level import would load it on every CLI start
     from scipy import sparse
@@ -319,14 +326,15 @@ def _chebyshev_propagate(
     # k = |z|; at this length it is below 1e-27 for |z| up to 1e6, so the
     # cut below always falls inside
     k = np.arange(int(abs(z) + 15.0 * abs(z) ** (1.0 / 3.0) + 50.0))
-    minus_i_power = np.array([1, -1j, -1, 1j])[k % 4]
-    coef = np.where(k == 0, 1.0, 2.0) * minus_i_power * _bessel_orders(k.size - 1, z)
+    # (-i)^k is sign_k for even k and -i sign_k for odd k
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
+    coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)
     coef = coef[: np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1]
     # int32 indices, and arrays that die with the call, keep the assembly small
     as_int32 = {"dtype": np.int32, "casting": "same_kind"}
     h = sparse.csr_matrix(
         (
-            np.concatenate([diag - c, amp, np.conj(amp)], dtype=complex) / r,
+            np.concatenate([diag - c, amp, amp]) / r,
             (
                 np.concatenate([np.arange(dim), src, dst], **as_int32),
                 np.concatenate([np.arange(dim), dst, src], **as_int32),
@@ -334,13 +342,26 @@ def _chebyshev_propagate(
         ),
         shape=(dim, dim),
     )
-    out = coef[0] * x
-    if coef.size > 1:
-        prev, cur = x, h @ x
-        out += coef[1] * cur
-        for ck in coef[2:]:
-            prev, cur = cur, 2.0 * (h @ cur) - prev
-            out += ck * cur
+
+    def series(v):
+        """[even, odd]: sum_k coef_k T_k(H~) v over even and over odd k."""
+        sums = [coef[0] * v, np.zeros(dim)]
+        prev, cur = None, v
+        for k, ck in enumerate(coef[1:], 1):
+            nxt = h @ cur
+            if k > 1:  # T_k = 2 H~ T_(k-1) - T_(k-2), in place
+                nxt *= 2.0
+                nxt -= prev
+            prev, cur = cur, nxt
+            sums[k % 2] += ck * cur
+        return sums
+
+    # the odd terms carry the factor -i of (-i)^k
+    out = np.zeros(dim, dtype=complex)
+    for part, unit in ((x.real, 1.0), (x.imag, 1j)):
+        if part.any():
+            even, odd = series(part)
+            out += unit * (even - 1j * odd)
     return np.exp(-1j * c * t) * out
 
 
@@ -360,7 +381,8 @@ def evolve_td(h_of_t, psi: StateVector, t_end: float, dt: float) -> StateVector:
 
     `h_of_t(t)` must return the instantaneous Hamiltonian as an
     OperatorMatrix on the state's layout.  The step error is O(dt^2)
-    per unit time.
+    per unit time.  No command calls it: it is the dense oracle of the
+    closed-form steps in floquet.swap_frequency.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

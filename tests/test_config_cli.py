@@ -131,6 +131,22 @@ def test_floquet_calib_cli(tmp_path):
     assert float(rows[0]["S1_MHz"]) == pytest.approx(1.886, abs=0.01)
 
 
+@pytest.mark.parametrize("column,value,message", [
+    ("xi_MHz", "1e308", "xi must be finite"),  # overflows in the conversion to rad/s
+    ("nu_MHz", "0", "nu must be positive"),
+])
+def test_floquet_calib_rejects_out_of_range_row(tmp_path, capsys, column, value, message):
+    header = ["name", "xi_MHz", "eps_MHz", "nu_MHz", "delta_MHz", "K_MHz"]
+    row = dict(zip(header, ["R1", "19.6", "81.5", "190.0", "0.0", "250.0"]), **{column: value})
+    params = tmp_path / "params.csv"
+    params.write_text(",".join(header) + "\n" + ",".join(row[h] for h in header) + "\n")
+    out = tmp_path / "calib.csv"
+    assert main(["floquet-calib", "--params", str(params), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_decohere_cli_n1_collapse_revival(tmp_path, config_path):
     out = tmp_path / "dec.csv"
     rc = main(
@@ -519,6 +535,52 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     assert main(["decohere", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: config file")
     assert not out.exists()
+
+
+def _written_configs() -> list[str]:
+    """device.yaml and every YAML text the tests of this file write."""
+    import copy
+
+    texts = [DEVICE_YAML.read_text(), yaml.safe_dump(CONFIG),
+             "resonator: {omega_s_MHz: 5796.0}\n"]
+    detuned = yaml.safe_load(DEVICE_YAML.read_text())
+    for q, delta in zip(detuned["qubits"], (-2.2, 1.4, 3.1, -0.7, 0.9, -1.6, 2.5, 0.3)):
+        q["delta_MHz"] = delta
+    texts.append(yaml.safe_dump(detuned))
+    for bad in (float("nan"), float("inf")):
+        data = copy.deepcopy(CONFIG)
+        data["qubits"][0]["nu_MHz"] = bad
+        texts.append(yaml.safe_dump(data))
+    for cutoff in (12, 40):
+        resonator = {"omega_s_MHz": 5796.0, "cutoff": cutoff}
+        texts.append(yaml.safe_dump(dict(CONFIG, resonator=resonator)))
+    qubits = [
+        {"name": name, "xi_MHz": xi, "eps_MHz": eps, "nu_MHz": nu, "K_MHz": k}
+        for name, xi, eps, nu, k in DRIVE_TABLE
+    ]
+    texts.append(yaml.safe_dump(dict(CONFIG, qubits=qubits)))
+    return texts
+
+
+def test_libyaml_loader_parses_like_the_python_loader(tmp_path):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    texts = _written_configs()
+    assert any(".nan" in text for text in texts)
+    for text in texts:
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        # repr compares NaN equal to NaN and still tells 1 from 1.0 and "1"
+        assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    path = tmp_path / "device.yaml"
+    path.write_text(texts[0])
+    assert load_config(str(path)) == parse_config(yaml.safe_load(texts[0]))
+
+
+def test_malformed_yaml_is_config_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("resonator: {omega_s_MHz: 5796.0\nqubits: [\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(str(path))
 
 
 def test_cli_runs_load_no_scipy(tmp_path, config_path):

@@ -25,6 +25,7 @@ from catbath.hilbert import (
     SpaceLayout,
     StateVector,
     TruncationWarning,
+    _chebyshev_propagate,
     coherent_state,
     evolve,
     fidelity,
@@ -50,6 +51,15 @@ def _quiet_truncation():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         yield
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["couplings", "detunings", "n_mean"])
+def test_reservoir_spec_rejects_non_finite(field, bad):
+    kwargs = {"couplings": (8.2 * MHZ, 6.6 * MHZ), "detunings": (0.0, 0.0), "n_mean": N_MEAN}
+    kwargs[field] = bad if field == "n_mean" else (kwargs[field][0], bad)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ReservoirSpec(**kwargs)
 
 
 def test_reservoir_spec_validation():
@@ -362,6 +372,45 @@ def test_engine_time_zero_and_reversal():
     forward = evolve_excitation_blocks(spec, psi0, 150 * NS, cutoff)
     back = evolve_excitation_blocks(spec, forward, -150 * NS, cutoff)
     assert np.max(np.abs(back.amps - psi0.amps)) < 1e-12
+
+
+def test_engine_is_complex_linear():
+    # the real and the imaginary part of the state run separate real
+    # series; i psi swaps them
+    spec = ReservoirSpec(table_spec(3).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ), N_MEAN)
+    psi0 = _random_state(SpaceLayout((14,) + (2,) * 3), 31)
+    out = evolve_excitation_blocks(spec, psi0, 83.0 * NS, 14).amps
+    rotated = StateVector(psi0.layout, 1j * psi0.amps)
+    out_rotated = evolve_excitation_blocks(spec, rotated, 83.0 * NS, 14).amps
+    assert np.max(np.abs(out_rotated - 1j * out)) <= 1e-15
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary", "mixed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_engine_state_parts_match_dense(part, n):
+    # a purely real or imaginary state skips one of the two real series
+    spec = ReservoirSpec(
+        table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
+    )
+    cutoff = 12
+    layout = SpaceLayout((cutoff,) + (2,) * n)
+    rng = np.random.default_rng(n)
+    re, im = rng.normal(size=(2, layout.dim))
+    amps = {"real": re, "imaginary": 1j * im, "mixed": re + 1j * im}[part]
+    psi0 = StateVector(layout, amps / np.linalg.norm(amps))
+    h = reservoir_hamiltonian(spec, cutoff)
+    for t in (9e-9, -27e-9, 140e-9):
+        out = evolve_excitation_blocks(spec, psi0, t, cutoff)
+        assert np.max(np.abs(out.amps - evolve(h, psi0, t).amps)) < 1e-12
+
+
+@pytest.mark.parametrize("arg", ["diag", "amp"])
+def test_chebyshev_rejects_complex_hamiltonian(arg):
+    args = {"diag": np.zeros(3), "amp": np.array([0.5])}
+    args[arg] = args[arg].astype(complex)
+    with pytest.raises(ValueError, match="real symmetric"):
+        _chebyshev_propagate(args["diag"], np.array([0]), np.array([1]), args["amp"], 1.0,
+                             np.ones(3, dtype=complex))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

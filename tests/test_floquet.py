@@ -18,7 +18,7 @@ from catbath.floquet import (
     swap_frequency,
 )
 from catbath.config import load_config
-from catbath.hilbert import SpaceLayout, _bessel_orders
+from catbath.hilbert import SpaceLayout, StateVector, _bessel_orders, evolve_td
 
 from conftest import DRIVE_TABLE, LAMBDA_HALF_TABLE, MHZ, drive_params
 
@@ -198,6 +198,46 @@ def test_effective_vs_full_swap_frequency_all_rows():
         assert abs(f_full - f_eff) / f_eff < 1e-3, row[0]
 
 
+def dense_swap_frequency(p: FloquetParams) -> float:
+    """swap_frequency's map by dense midpoint steps: the oracle of the closed form.
+
+    evolve_td with full_floquet_hamiltonian on a cutoff of 2, 40 steps
+    per drive period, both columns of the manifold {|e,0>, |g,1>}, then
+    the quasienergy splitting of the 2x2 map's eigenvalues.
+    """
+    layout = SpaceLayout((2, 2))
+    manifold = [layout.index((1, 0)), layout.index((0, 1))]
+    period = 2.0 * math.pi / p.nu
+    columns = []
+    for i in manifold:
+        psi = StateVector(layout, np.eye(layout.dim)[i])
+        out = evolve_td(lambda t: full_floquet_hamiltonian(p, t, 2), psi, period, period / 40)
+        columns.append(out.amps[manifold])
+    lam = np.linalg.eigvals(np.column_stack(columns))
+    return abs(np.angle(lam[0] * np.conj(lam[1]))) * p.nu / (4.0 * math.pi**2)
+
+
+def test_swap_frequency_matches_dense_midpoint_oracle():
+    # the device rows at compensated detuning, then seeded random drives
+    # with a detuning and a Kerr term of their own
+    params = []
+    for row in DRIVE_TABLE:
+        p = drive_params(row)
+        params.append(FloquetParams(
+            xi=p.xi, eps=p.eps, nu=p.nu, delta=stark_compensating_detuning(p), K=p.K,
+        ))
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        xi, eps, nu = rng.uniform(5.0, 20.0), rng.uniform(20.0, 90.0), rng.uniform(130.0, 230.0)
+        delta, k = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 10.0), rng.uniform(100.0, 300.0)
+        params.append(FloquetParams(
+            xi=xi * MHZ, eps=eps * MHZ, nu=nu * MHZ, delta=delta * MHZ, K=k * MHZ,
+        ))
+    for p in params:
+        f = swap_frequency(p)
+        assert abs(f - dense_swap_frequency(p)) <= 1e-12 * f, p
+
+
 def test_r1_swap_frequency_published(r1_params):
     delta_c = stark_compensating_detuning(r1_params)
     pc = FloquetParams(
@@ -216,3 +256,12 @@ def test_params_validation():
         FloquetParams(xi=1.0, eps=1.0, nu=0.0)
     with pytest.warns(UserWarning):
         FloquetParams(xi=100 * MHZ, eps=0.0, nu=100 * MHZ)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["xi", "eps", "nu", "delta", "K", "omega_s"])
+def test_params_reject_non_finite(field, bad):
+    kwargs = dict(xi=19.6 * MHZ, eps=81.5 * MHZ, nu=190.0 * MHZ, K=250.0 * MHZ)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FloquetParams(**kwargs)
