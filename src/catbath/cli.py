@@ -155,9 +155,10 @@ def _cmd_floquet_calib(args) -> list[str]:
         }
         try:
             p = floquet.FloquetParams(**fields, name=row["name"])
-        except ValueError as exc:  # nu <= 0, or a value past the float range in rad/s
+            s1, s2 = floquet.stark_shifts(p)
+        except ValueError as exc:  # a property of the row: nu <= 0, a value past
+            # the float range in rad/s, or a resonant Stark denominator
             raise CliError(f"{args.params}: row {row['name']}: {exc}") from exc
-        s1, s2 = floquet.stark_shifts(p)
         out_rows.append(
             (row["name"], floquet.effective_coupling(p) / MHZ, s1 / MHZ, s2 / MHZ)
         )
@@ -202,14 +203,17 @@ def _field_state(cfg, spec: dynamics.ReservoirSpec, t_ns: float) -> DensityMatri
 
 
 def _write_wigner(path: str, wmap: tomography.WignerMap) -> None:
-    """One row per grid point, im fastest; "%.12g" formats as _fmt does."""
-    n_re, n_im = wmap.values.shape
-    table = np.column_stack(
-        [np.repeat(wmap.re_grid, n_im), np.tile(wmap.im_grid, n_re), wmap.values.ravel()]
-    )
+    """One row per grid point, im fastest; "%.12g" formats as _fmt does.
+
+    Each grid value is formatted once, and the W values one re-row at a
+    time, so the whole body is never held in memory.
+    """
+    im_tails = ["," + format(v, ".12g") + ",%.12g\n" for v in wmap.im_grid.tolist()]
     with _atomic_open(path) as fh:
         fh.write("re,im,w\n")
-        fh.write(("%.12g,%.12g,%.12g\n" * len(table)) % tuple(table.ravel().tolist()))
+        for re_val, row in zip(wmap.re_grid.tolist(), wmap.values.tolist()):
+            head = format(re_val, ".12g")
+            fh.write("".join([head + tail for tail in im_tails]) % tuple(row))
 
 
 def _cmd_wigner(args) -> list[str]:

@@ -99,6 +99,8 @@ def _need(mapping, key, path, kind):
             raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
         if not math.isfinite(value):
             raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+        if key.endswith("_MHz") and not math.isfinite(value * MHZ):
+            raise ConfigError(f"{path}.{key}: {value!r} MHz is past the float range in rad/s")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):

@@ -14,7 +14,10 @@ displaced-parity matrix elements are associated Laguerre polynomials
 (Cahill & Glauber, Phys. Rev. 177, 1857, 1969), evaluated over the
 whole grid by their normalized three-term recurrence along each
 diagonal of rho (as in QuTiP's iterative ``wigner``; Johansson, Nation
-& Nori, CPC 184, 1234, 2013).  See ``wigner_map``.
+& Nori, CPC 184, 1234, 2013).  The recurrence depends on beta only
+through the real x = 4|beta|^2, so it runs in real arithmetic; the
+phase e^(ik phi) of diagonal k, beta = |beta| e^(i phi), is applied
+once per diagonal.  See ``wigner_map``.
 """
 
 from __future__ import annotations
@@ -157,14 +160,16 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
 
 
 def _wigner(rho: DensityMatrix, beta) -> np.ndarray:
-    """W at every point of the complex array `beta`, by the diagonal recurrence.
+    """W at every point of the complex array `beta`, by the real diagonal recurrence.
 
-    Walks each diagonal k = n - m of rho.  The head W_{0,k} comes from
-    W_{0,k-1} by one factor 2 beta / sqrt(k); the normalized Laguerre
-    recurrence then steps m -> m + 1.  Only the head, two recurrence
-    terms and the accumulators are held, each of the shape of `beta`,
-    and they are updated in place where they can be, so the peak memory
-    does not grow with the cutoff.
+    With x = 4|beta|^2 and beta = |beta| e^(i phi), the displaced-parity
+    element W_{m,m+k} is e^(ik phi) R_{m,k}(x), R real (see
+    ``wigner_map``).  For each diagonal k of rho the recurrence steps
+    R_{m,k} -> R_{m+1,k} on real arrays and sums Re rho_{m,m+k} R_{m,k}
+    and Im rho_{m,m+k} R_{m,k} into two real accumulators; the phase
+    e^(ik phi), a running product of e^(i phi), is applied once per
+    diagonal.  Every update is made in place into buffers of the shape
+    of `beta`, so the peak memory does not grow with the cutoff.
     """
     if rho.layout.n_factors != 1:
         raise ValueError("the Wigner function requires a single bosonic mode")
@@ -172,23 +177,41 @@ def _wigner(rho: DensityMatrix, beta) -> np.ndarray:
     d = mat.shape[0]
     beta = np.asarray(beta, dtype=complex)
     x = 4.0 * (beta.real**2 + beta.imag**2)
-    head = (2.0 / math.pi) * np.exp(-x / 2.0) + 0j
+    two_abs = np.sqrt(x)  # 2|beta|
+    unit = np.exp(1j * np.angle(beta))  # e^(i phi); 1 at beta = 0, where R_{0,k>0} = 0
+    phase = np.ones(beta.shape, dtype=complex)
+    head = (2.0 / math.pi) * np.exp(-x / 2.0)  # R_{0,k}
+    prev, cur, tmp, acc_re, acc_im = (np.empty(beta.shape) for _ in range(5))
     w = np.zeros(beta.shape)
     for k in range(d):
         if k:
-            head *= beta
-            head *= 2.0 / math.sqrt(k)
-        prev, cur = 0.0, head
-        acc = mat[0, k] * cur
+            head *= two_abs
+            head *= 1.0 / math.sqrt(k)
+            phase *= unit
+        diag = np.diagonal(mat, k) * (2.0 if k else 1.0)
+        re, im = diag.real.tolist(), diag.imag.tolist()
+        np.copyto(cur, head)
+        prev.fill(0.0)
+        np.multiply(cur, re[0], out=acc_re)
+        np.multiply(cur, im[0], out=acc_im)
         for m in range(d - k - 1):
-            nxt = ((2 * m + 1 + k) - x) * cur
-            nxt += math.sqrt(m * (m + k)) * prev
-            nxt *= -1.0 / math.sqrt((m + 1) * (m + 1 + k))
-            prev, cur = cur, nxt
-            acc += mat[m + 1, m + 1 + k] * cur
-        if k:
-            acc *= 2.0
-        w += acc.real
+            # R_{m+1} = -[(2m+1+k-x) R_m + sqrt(m(m+k)) R_{m-1}] / sqrt((m+1)(m+1+k))
+            scale = -1.0 / math.sqrt((m + 1) * (m + 1 + k))
+            prev *= math.sqrt(m * (m + k)) * scale
+            np.subtract(2 * m + 1 + k, x, out=tmp)
+            tmp *= cur
+            tmp *= scale
+            prev += tmp
+            prev, cur = cur, prev
+            np.multiply(cur, re[m + 1], out=tmp)
+            acc_re += tmp
+            np.multiply(cur, im[m + 1], out=tmp)
+            acc_im += tmp
+        # Re[e^(ik phi) (acc_re + i acc_im)]
+        acc_re *= phase.real
+        acc_im *= phase.imag
+        w += acc_re
+        w -= acc_im
     return w
 
 
@@ -210,16 +233,20 @@ def wigner_map(rho: DensityMatrix, re_grid, im_grid) -> WignerMap:
         W_mn = (2/pi) (-1)^m sqrt(m!/n!) (2 beta)^(n-m) e^(-2|beta|^2)
                L_m^(n-m)(4|beta|^2).
 
-    Along each diagonal k = n - m, with x = 4|beta|^2,
+    With x = 4|beta|^2 and beta = |beta| e^(i phi), the element on
+    diagonal k = n - m is W_{m,m+k} = e^(ik phi) R_{m,k}(x), with R real:
 
-        W_{0,k} = W_{0,k-1} 2 beta / sqrt(k),  W_00 = (2/pi) e^(-x/2),
-        W_{m+1,m+1+k} = -[(2m+1+k-x) W_{m,m+k} + sqrt(m(m+k)) W_{m-1,m-1+k}]
-                        / sqrt((m+1)(m+1+k)),
+        W = sum_k (2 - delta_k0) Re[e^(ik phi) sum_m rho_{m,m+k} R_{m,k}(x)],
+        R_{0,k} = (2/pi) e^(-x/2) (2|beta|)^k / sqrt(k!),
+        R_{m+1,k} = -[(2m+1+k-x) R_{m,k} + sqrt(m(m+k)) R_{m-1,k}]
+                    / sqrt((m+1)(m+1+k)),
 
     the iterative scheme of QuTiP's ``wigner`` (Johansson, Nation & Nori,
-    CPC 184, 1234, 2013) with the factorials folded into each step.
-    Every W_mn is a matrix element of (2/pi) D(beta) P D(beta)^dag
-    (P the parity), so |W_mn| <= 2/pi: nothing overflows.  The map is
+    CPC 184, 1234, 2013) with the factorials folded into each step, run
+    on real arrays.  e^(ik phi) is a running product of e^(i phi), so
+    beta = 0, where R_{0,k>0} = 0, stays exact.  Every W_mn is a matrix
+    element of (2/pi) D(beta) P D(beta)^dag (P the parity), so
+    |R_{m,k}| = |W_{m,m+k}| <= 2/pi: nothing overflows.  The map is
     exact for the truncated rho; no padding is needed.
     """
     re_grid = np.asarray(re_grid, dtype=float)

@@ -12,7 +12,7 @@ import yaml
 
 import catbath
 from catbath import analysis, catprep, dynamics
-from catbath.cli import _reservoir_from_config, _write_csv, main
+from catbath.cli import _reservoir_from_config, _write_csv, _write_wigner, main
 from catbath.config import (
     MHZ,
     NS,
@@ -24,7 +24,7 @@ from catbath.config import (
     parse_config,
 )
 from catbath.hilbert import DensityMatrix, SpaceLayout, TruncationWarning, coherent_state
-from catbath.tomography import synthesize_rabi, wigner_map
+from catbath.tomography import WignerMap, synthesize_rabi, wigner_map
 
 from conftest import DRIVE_TABLE
 
@@ -134,6 +134,7 @@ def test_floquet_calib_cli(tmp_path):
 @pytest.mark.parametrize("column,value,message", [
     ("xi_MHz", "1e308", "xi must be finite"),  # overflows in the conversion to rad/s
     ("nu_MHz", "0", "nu must be positive"),
+    ("nu_MHz", "125", "resonant denominator"),  # (1 - n) nu + K = 0 at n = 3
 ])
 def test_floquet_calib_rejects_out_of_range_row(tmp_path, capsys, column, value, message):
     header = ["name", "xi_MHz", "eps_MHz", "nu_MHz", "delta_MHz", "K_MHz"]
@@ -302,6 +303,28 @@ def test_decohere_rejects_nonfinite_config(tmp_path, capsys):
         assert rc == 1
         assert "qubits[0].nu_MHz" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [
+    ("qubits", "xi_MHz"),
+    ("qubits", "K_MHz"),
+    ("resonator", "omega_s_MHz"),
+    ("ancilla", "xi_MHz"),
+])
+def test_config_rejects_mhz_past_the_rad_per_s_range(tmp_path, capsys, section, key):
+    # 1e308 MHz is finite, but 2 pi 1e6 x 1e308 rad/s is not
+    import copy
+
+    data = copy.deepcopy(CONFIG)
+    target = data["qubits"][0] if section == "qubits" else data[section]
+    target[key] = 1.0e308
+    path = tmp_path / "big.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dec.csv"
+    assert main(["decohere", "--config", str(path), "--out", str(out)]) == 1
+    field = f"qubits[0].{key}" if section == "qubits" else f"{section}.{key}"
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 def test_fit_rabi_rejects_nonfinite_sample(tmp_path, capsys):
@@ -494,6 +517,26 @@ def test_wigner_cli_map_is_finite(tmp_path, config_path):
                  "--out", str(out)]) == 0
     w = np.array([float(r["w"]) for r in read_rows(out)])
     assert w.size == 15 and np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("re_grid,im_grid", [
+    ([0.25], [-1.5]),
+    ([-1.0, -0.0, 1e-9, 2.0 / 3.0], [-0.0, 0.1, 123456.789]),
+])
+def test_write_wigner_formats_each_row_with_12_digits(tmp_path, re_grid, im_grid):
+    rng = np.random.default_rng(4)
+    values = rng.uniform(-0.6, 0.6, (len(re_grid), len(im_grid)))
+    values[0, 0] = -0.0
+    wmap = WignerMap(np.array(re_grid), np.array(im_grid), values)
+    path = tmp_path / "w.csv"
+    _write_wigner(str(path), wmap)
+    expected = "re,im,w\n" + "".join(
+        "%.12g,%.12g,%.12g\n" % (x, y, values[i, j])
+        for i, x in enumerate(re_grid)
+        for j, y in enumerate(im_grid)
+    )
+    assert path.read_bytes() == expected.encode()
+    assert b",-0\n" in path.read_bytes()  # a W of -0.0 keeps its sign, as in "%.12g"
 
 
 def test_wigner_time_maps_the_ideal_cat_without_synthesis(tmp_path, config_path, monkeypatch):

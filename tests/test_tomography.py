@@ -297,3 +297,20 @@ def test_wigner_properties_random_states(seed, dim):
 def test_wigner_map_rejects_nonfinite_values():
     with pytest.raises(ValueError, match="finite"):
         WignerMap(np.array([0.0, 1.0]), np.array([0.0]), np.array([[0.1], [np.nan]]))
+
+
+def test_wigner_matches_laguerre_oracle_at_the_phase_edges():
+    # a random complex mixed rho at cutoff 40, on a grid that holds
+    # beta = 0, the negative real and imaginary axes (phi = pi, -pi/2),
+    # |beta| ~ 1e-9 and every quadrant
+    rho = random_density(20, 40)
+    assert np.linalg.eigvalsh(rho.mat)[-2] > 0.01  # mixed
+    assert np.abs(np.imag(rho.mat)).max() > 0.01  # complex coherences
+    re = np.array([-2.1, -0.7, 0.0, 1e-9, 1.4])
+    im = np.array([-1.6, -1e-9, 0.0, 7e-10, 0.9])
+    wm = wigner_map(rho, re, im)
+    for i, x in enumerate(re):
+        for j, y in enumerate(im):
+            ref = laguerre_wigner(rho.mat, complex(x, y))
+            assert abs(wm.values[i, j] - ref) < 1e-12
+            assert abs(wigner_point(rho, complex(x, y)) - ref) < 1e-12
