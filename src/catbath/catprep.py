@@ -1,20 +1,22 @@
 """Even phase-cat synthesis by sequential photon-number swaps.
 
-The target is the even cat N+(|alpha/2> + |-alpha/2>), whose Fock
-decomposition has only even photon numbers.  A backward-elimination
-sweep over the n-excitation manifolds {|g,n>, |e,n-1>} chooses the
-resonant swap angles that empty the target state into the vacuum; the
-forward (laboratory) order of the same pulses then prepares the target
-from |g,0> (Law & Eberly, PRL 76, 1055, 1996).  A final cavity
+The target is the even cat N+(|alpha/2> + |-alpha/2>), built from the
+coherent amplitudes of hilbert; its Fock decomposition has only even
+photon numbers.  A backward-elimination sweep over the n-excitation
+manifolds {|g,n>, |e,n-1>} chooses the resonant swap angles that empty
+the target state into the vacuum; the forward (laboratory) order of
+the same pulses then prepares the target from |g,0> (Law & Eberly,
+PRL 76, 1055, 1996).  A final cavity
 displacement D(alpha/2) converts the phase cat into the amplitude cat
 N+(|0> + |alpha>).
 
 The swaps are applied in closed form.  The resonant exchange
 xi (a |e><g| + a^dag |g><e|) keeps each manifold {|g,n>, |e,n-1>}
-closed and rotates it at sqrt(n) xi, which is the photon-resolved Rabi
-kernel of the reservoir models (dynamics._fock_rabi_amplitudes at
-coupling 2 xi and no detuning); the X_pi flip exp(-i pi/2 sigma_x)
-swaps the qubit rows with a factor -i.  No matrix is built.
+closed and rotates it at sqrt(n) xi: the two-level exchange step
+hilbert._fock_rabi_amplitudes at coupling 2 xi and no detuning, the
+copy that dynamics and floquet also use.  The X_pi flip
+exp(-i pi/2 sigma_x) swaps the qubit rows with a factor -i.  No matrix
+is built.
 
 Protocol states live on a qubit (x) boson layout (qubit is factor 0).
 """
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _fock_rabi_amplitudes
 from .hilbert import SpaceLayout, StateVector, displacement
+from .hilbert import _coherent_amplitudes, _fock_rabi_amplitudes
 
 __all__ = [
     "CatSpec",
@@ -64,21 +66,17 @@ class ProtocolStep:
 def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -> np.ndarray:
     """Fock amplitudes of the even phase cat |C+(alpha/2)>.
 
-    c_{2m} = N+ * 2 (alpha/2)^{2m} exp(-|alpha|^2/8) / sqrt((2m)!),
-    odd entries zero.  With `renormalize` the truncated vector is scaled
-    to unit norm (the protocol's target state).
+    N+ (u(alpha/2) + u(-alpha/2)), u the coherent amplitudes of hilbert:
+    the even entries are 2 N+ u_n(alpha/2), the odd ones zero.  With
+    `renormalize` the truncated vector is scaled to unit norm (the
+    protocol's target state).
     """
     if cutoff < N_STAR:
         raise ValueError(f"cutoff {cutoff} below operational cutoff {N_STAR}")
     alpha = complex(spec.alpha)
     norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
     amps = np.zeros(cutoff + 1, dtype=complex)
-    half = alpha / 2.0
-    for m in range(0, cutoff // 2 + 1):
-        amps[2 * m] = (
-            norm_plus * 2.0 * half ** (2 * m) * math.exp(-abs(alpha) ** 2 / 8.0)
-            / math.sqrt(math.factorial(2 * m))
-        )
+    amps[::2] = 2.0 * norm_plus * _coherent_amplitudes(alpha / 2.0, cutoff + 1)[::2]
     if renormalize:
         amps = amps / np.linalg.norm(amps)
     return amps

@@ -114,7 +114,7 @@ def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
     couplings = []
     detunings = []
     for q in cfg.qubits[:n_qubits]:
-        p = q.floquet_params(cfg.omega_s_MHz)
+        p = q.floquet_params()
         couplings.append(2.0 * abs(floquet.effective_coupling(p)))
         detunings.append(p.delta)
     return dynamics.ReservoirSpec(
@@ -122,11 +122,22 @@ def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
     )
 
 
+def _require_synthesis_cutoff(cfg) -> None:
+    """The cat synthesis runs on N* + 1 Fock levels; a smaller cutoff cannot hold it."""
+    levels = catprep.N_STAR + 1
+    if cfg.cutoff < levels:
+        raise CliError(
+            f"resonator.cutoff: {cfg.cutoff} is below the {levels} Fock levels "
+            "the cat synthesis needs"
+        )
+
+
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_prep_cat(args) -> list[str]:
     cfg = load_config(args.config)
+    _require_synthesis_cutoff(cfg)
     spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
     xi = cfg.ancilla_xi_MHz * MHZ
     steps = catprep.backward_angles(spec, xi)
@@ -219,6 +230,7 @@ def _write_wigner(path: str, wmap: tomography.WignerMap) -> None:
 def _cmd_wigner(args) -> list[str]:
     cfg = load_config(args.config)
     if args.time is None:
+        _require_synthesis_cutoff(cfg)
         spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
         cat = catprep.make_amplitude_cat(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
         rho = density_from_state(cat)

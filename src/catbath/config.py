@@ -44,14 +44,13 @@ class QubitConfig:
     delta_MHz: float = 0.0
     K_MHz: float = 0.0
 
-    def floquet_params(self, omega_s_MHz: float = 0.0) -> FloquetParams:
+    def floquet_params(self) -> FloquetParams:
         return FloquetParams(
             xi=self.xi_MHz * MHZ,
             eps=self.eps_MHz * MHZ,
             nu=self.nu_MHz * MHZ,
             delta=self.delta_MHz * MHZ,
             K=self.K_MHz * MHZ,
-            omega_s=omega_s_MHz * MHZ,
             name=self.name,
         )
 
@@ -163,6 +162,10 @@ def parse_config(data: dict) -> DeviceConfig:
     wg = WignerGridConfig(**_fields(WignerGridConfig, wg_raw, "scenario.wigner_grid"))
     if wg.re_points < 1 or wg.im_points < 1:
         raise ConfigError("scenario.wigner_grid: point counts must be positive")
+    for axis in ("re", "im"):
+        lo, hi, points = (getattr(wg, f"{axis}_{end}") for end in ("min", "max", "points"))
+        if points > 1 and lo >= hi:
+            raise ConfigError(f"scenario.wigner_grid: {axis}_min {lo!r} >= {axis}_max {hi!r}")
     scenario = ScenarioConfig(wigner_grid=wg, **_fields(ScenarioConfig, sc, "scenario"))
     if scenario.dt_ns <= 0:
         raise ConfigError("scenario.dt_ns: must be positive")

@@ -8,8 +8,9 @@ drives collective Rabi oscillations.
 
 Both analytic pictures of the |alpha> branch evaluate one Rabi kernel:
 Fock component n drives qubit k at Omega_k(n) =
-sqrt(n lambda_k^2 + delta_k^2).  The same kernel, resonant, gives the
-swaps of the cat synthesis in catprep.
+sqrt(n lambda_k^2 + delta_k^2).  It is the two-level exchange step of
+hilbert, which also gives the swaps of catprep and the Floquet map of
+floquet.
 
 - analytic_joint_state resolves the branch photon number by photon
   number, and each excited qubit shifts the field down by one photon.
@@ -45,6 +46,7 @@ from .hilbert import (
     SpaceLayout,
     StateVector,
     _chebyshev_propagate,
+    _fock_rabi_amplitudes,
     annihilation,
     coherent_state,
 )
@@ -202,23 +204,6 @@ def cat_with_ground_qubits(alpha: complex, spec: ReservoirSpec, cutoff: int) -> 
     stride = 2 ** spec.n_qubits
     amps[::stride] = cat  # qubits all in |g> (fast indices all zero)
     return StateVector(layout, amps)
-
-
-def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of |n,g> -> c_g |n,g> + c_e |n-1,e> under one exchange term.
-
-    Omega(n) = sqrt(n lambda^2 + delta^2); the common phase
-    exp(-i delta t/2) is left to the caller.  Arguments broadcast.
-    sin(Omega t/2)/Omega is written as (t/2) sinc so that Omega = 0
-    needs no special case.  The swaps of catprep take it at
-    lambda = 2 xi, delta = 0.
-    """
-    omega = np.sqrt(n * lam**2 + delta**2)
-    half = omega * t / 2.0
-    sin_over_omega = (t / 2.0) * np.sinc(half / math.pi)
-    c_g = np.cos(half) + 1j * delta * sin_over_omega
-    c_e = -1j * np.sqrt(n) * lam * sin_over_omega
-    return c_g, c_e
 
 
 def _warn_if_strained(leak: float, n_mean: float) -> None:

@@ -8,10 +8,11 @@ Stark shifts S1 and S2.  The module computes the coupling and the
 shifts in closed form, the full time-dependent interaction Hamiltonian,
 and the swap frequency from the one-period Floquet map of that
 Hamiltonian.  The drive keeps {|e,0>, |g,1>} closed, so the map is a
-product of closed-form 2x2 midpoint steps on that manifold; the dense
-Hamiltonian with hilbert.evolve_td is its test oracle.  The Bessel
-functions J_n come from Miller's backward recurrence
-(hilbert._bessel_orders), all orders in one sweep.
+product of closed-form 2x2 midpoint steps on that manifold, each the
+two-level exchange step hilbert._fock_rabi_amplitudes that dynamics and
+catprep also use; the dense Hamiltonian with hilbert.evolve_td is its
+test oracle.  The Bessel functions J_n come from Miller's backward
+recurrence (hilbert._bessel_orders), all orders in one sweep.
 
 Layouts are qubit (x) boson, qubit first.
 """
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, SpaceLayout, _bessel_orders, annihilation
+from .hilbert import OperatorMatrix, SpaceLayout, annihilation
+from .hilbert import _bessel_orders, _fock_rabi_amplitudes
 
 __all__ = [
     "FloquetParams",
@@ -42,22 +44,17 @@ _STEPS_PER_DRIVE_PERIOD = 40
 
 @dataclass(frozen=True)
 class FloquetParams:
-    """Per-qubit modulation record; all frequencies angular (rad/s).
-
-    omega_s is the bus frequency; the mean qubit frequency sits one
-    modulation quantum below it.
-    """
+    """Per-qubit modulation record; all frequencies angular (rad/s)."""
 
     xi: float
     eps: float
     nu: float
     delta: float = 0.0
     K: float = 0.0
-    omega_s: float = 0.0
     name: str = ""
 
     def __post_init__(self):
-        for name in ("xi", "eps", "nu", "delta", "K", "omega_s"):
+        for name in ("xi", "eps", "nu", "delta", "K"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu <= 0:
@@ -74,11 +71,6 @@ class FloquetParams:
     def mu(self) -> float:
         """Modulation index eps/nu."""
         return self.eps / self.nu
-
-    @property
-    def omega_m(self) -> float:
-        """Mean qubit frequency omega_s - nu."""
-        return self.omega_s - self.nu
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -163,35 +155,29 @@ def swap_frequency(p: FloquetParams) -> float:
 
     The exact drive is periodic in 2 pi/nu and keeps the manifold
     {|e,0>, |g,1>} closed; on it H'(t) = h = [[delta, f^*], [f, 0]] with
-    f = xi exp(-i mu sin(nu t)) exp(i nu t).  The period is cut into
-    _STEPS_PER_DRIVE_PERIOD midpoint steps of length dt, and each step
-    is the closed-form 2x2 exponential
-    exp(-i h dt) = exp(-i delta dt/2) [cos(w dt) - i dt sinc(w dt) (h - delta/2)],
-    w = sqrt(delta^2/4 + |f|^2) and sinc(x) = sin(x)/x, all steps in
-    one array pass.  Their
-    time-ordered product has eigenphases phi_1, phi_2; the quasienergy
-    splitting wrap(phi_1 - phi_2) nu/(2 pi) is the angular swap
-    frequency (Shirley, Phys. Rev. 138, B979, 1965).  The common phase
-    of each step cancels in the splitting and is left out.  The map is
-    the one hilbert.evolve_td gives with full_floquet_hamiltonian on a
-    cutoff of 2.  Returns linear frequency in Hz.
+    f = xi exp(i theta), theta = nu t - mu sin(nu t).  The period is cut
+    into _STEPS_PER_DRIVE_PERIOD midpoint steps of length dt.  |f| = xi
+    at every step, so the two-level exchange step of hilbert at n = 1,
+    coupling 2 xi and detuning delta gives one (c_g, c_e) for all, and
+    exp(-i h dt) = exp(-i delta dt/2) [[c_g^*, c_e e^(-i theta)],
+    [c_e e^(i theta), c_g]].  The time-ordered product has eigenphases
+    phi_1, phi_2; the quasienergy splitting wrap(phi_1 - phi_2)
+    nu/(2 pi) is the angular swap frequency (Shirley, Phys. Rev. 138,
+    B979, 1965); the common phase of each step cancels in it.  The map
+    is the one hilbert.evolve_td gives with full_floquet_hamiltonian on
+    a cutoff of 2.  Returns linear frequency in Hz.
     """
     if effective_coupling(p) == 0:
         raise ValueError("zero effective coupling; no swap to measure")
     period = 2.0 * math.pi / p.nu
     dt = period / _STEPS_PER_DRIVE_PERIOD
     t = (np.arange(_STEPS_PER_DRIVE_PERIOD) + 0.5) * dt
-    f = p.xi * np.exp(-1j * p.mu * np.sin(p.nu * t)) * np.exp(1j * p.nu * t)
-    half = p.delta / 2.0
-    w = np.sqrt(half**2 + np.abs(f) ** 2)
-    # -i dt sin(w dt)/(w dt), finite at w = 0
-    weight = -1j * dt * np.sinc(w * dt / math.pi)
-    cos = np.cos(w * dt)
+    # e^(i theta) = f / xi
+    turn = np.exp(-1j * p.mu * np.sin(p.nu * t)) * np.exp(1j * p.nu * t)
+    c_g, c_e = _fock_rabi_amplitudes(1.0, 2.0 * p.xi, p.delta, dt)
     steps = np.empty((t.size, 2, 2), dtype=complex)
-    steps[:, 0, 0] = cos + weight * half
-    steps[:, 1, 1] = cos - weight * half
-    steps[:, 0, 1] = weight * f.conj()
-    steps[:, 1, 0] = weight * f
+    steps[:, 0, 0], steps[:, 0, 1] = np.conj(c_g), c_e * turn.conj()
+    steps[:, 1, 0], steps[:, 1, 1] = c_e * turn, c_g
     u = steps[0]
     for step in steps[1:]:
         u = step @ u

@@ -6,6 +6,11 @@ systems.  Factor 0 is the slowest-varying index in the flattened
 amplitude vector; this convention is fixed so that results are
 bit-comparable across runs.
 
+The closed forms the other modules share have their one copy here:
+the truncated coherent amplitudes, the two-level exchange step of the
+Jaynes-Cummings manifold {|n,g>, |n-1,e>} (dynamics, catprep, floquet),
+the Bessel orders and the sparse Chebyshev propagator.
+
 All frequencies are angular (rad/s) and all times are seconds.
 """
 
@@ -173,44 +178,37 @@ def annihilation(cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(SpaceLayout((cutoff,)), mat)
 
 
-def _poisson_tail(mean: float, cutoff: int) -> float:
-    """P(n >= cutoff) for a Poisson distribution, summed term by term."""
-    if mean == 0.0:
-        return 0.0
-    log_terms = -mean + np.arange(cutoff) * math.log(mean) - np.cumsum(
-        np.concatenate([[0.0], np.log(np.arange(1, cutoff, dtype=float))])
-    )
-    return float(max(0.0, 1.0 - np.exp(log_terms).sum()))
+def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff, not renormalized.
+
+    Evaluated in log space, so neither alpha^n nor n! overflows.
+    """
+    if alpha == 0:
+        return np.eye(1, cutoff, dtype=complex)[0]
+    n = np.arange(cutoff)
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff, dtype=float))]))
+    log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact - abs(alpha) ** 2 / 2.0
+    return np.exp(log_mag) * np.exp(1j * np.angle(complex(alpha)) * n)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Coherent state |alpha> truncated at `cutoff` Fock levels.
 
-    amps[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized after
+    The amplitudes of _coherent_amplitudes, renormalized after
     truncation.  Emits a TruncationWarning when the neglected Poisson
-    tail exceeds _TAIL_TOL.
+    tail 1 - sum_n |amps[n]|^2 exceeds _TAIL_TOL.
     """
     if cutoff < 1:
         raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
-    mean = abs(alpha) ** 2
-    tail = _poisson_tail(mean, cutoff)
+    amps = _coherent_amplitudes(alpha, cutoff)
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     if tail > _TAIL_TOL:
         warnings.warn(
             f"coherent state truncation tail {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e} "
             f"at cutoff {cutoff}",
             TruncationWarning,
         )
-    n = np.arange(cutoff)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff, dtype=float))]))
-    if alpha == 0:
-        amps = np.zeros(cutoff, dtype=complex)
-        amps[0] = 1.0
-    else:
-        phase = np.angle(complex(alpha))
-        log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact - mean / 2.0
-        amps = np.exp(log_mag) * np.exp(1j * phase * n)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(SpaceLayout((cutoff,)), amps)
+    return StateVector(SpaceLayout((cutoff,)), amps / np.linalg.norm(amps))
 
 
 def displacement(beta: complex, cutoff: int) -> OperatorMatrix:
@@ -218,29 +216,25 @@ def displacement(beta: complex, cutoff: int) -> OperatorMatrix:
 
     Computed by exponentiating the Hermitian generator i(beta a^dag -
     beta^* a).  Reports (via TruncationWarning) when the cutoff is too
-    small for D(beta)|0> to reproduce the coherent state |beta> to
-    _DISPLACEMENT_TOL.
+    small for D(beta)|0> to reproduce the truncated amplitudes of the
+    coherent state |beta> to _DISPLACEMENT_TOL.
     """
     a = annihilation(cutoff).mat
     gen = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
     mat = _propagate(*np.linalg.eigh(gen), 1.0)
-    op = OperatorMatrix(SpaceLayout((cutoff,)), mat)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        target = coherent_state(beta, cutoff)
-    err = np.linalg.norm(mat[:, 0] - target.amps)
+    err = np.linalg.norm(mat[:, 0] - _coherent_amplitudes(beta, cutoff))
     if err >= _DISPLACEMENT_TOL:
         warnings.warn(
             f"displacement truncation error |D(beta)|0> - |beta>| = {err:.3e} at cutoff "
             f"{cutoff}; increase the cutoff",
             TruncationWarning,
         )
-    return op
+    return OperatorMatrix(SpaceLayout((cutoff,)), mat)
 
 
-def _require_hermitian(H: OperatorMatrix, rel_tol: float = 1e-9):
+def _require_hermitian(H: OperatorMatrix):
     scale = max(1.0, float(np.max(np.abs(H.mat))))
-    if np.max(np.abs(H.mat - H.mat.conj().T)) > rel_tol * scale:
+    if np.max(np.abs(H.mat - H.mat.conj().T)) > 1e-9 * scale:
         raise ValueError("Hamiltonian is not Hermitian")
 
 
@@ -253,6 +247,24 @@ def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = No
     """
     vp = v * np.exp(-1j * w * t)
     return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
+
+
+def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of |n,g> -> c_g |n,g> + c_e |n-1,e> under one exchange term.
+
+    The term is delta |e><e| + (lambda/2)(a |e><g| + a^dag |g><e|); it
+    keeps {|n,g>, |n-1,e>} closed and rotates it at Omega(n) =
+    sqrt(n lambda^2 + delta^2).  The common phase exp(-i delta t/2) is
+    left to the caller.  Arguments broadcast.  sin(Omega t/2)/Omega is
+    written as (t/2) sinc so that Omega = 0 needs no special case.
+    catprep takes it at lambda = 2 xi, delta = 0, floquet at n = 1.
+    """
+    omega = np.sqrt(n * lam**2 + delta**2)
+    half = omega * t / 2.0
+    sin_over_omega = (t / 2.0) * np.sinc(half / math.pi)
+    c_g = np.cos(half) + 1j * delta * sin_over_omega
+    c_e = -1j * np.sqrt(n) * lam * sin_over_omega
+    return c_g, c_e
 
 
 def _bessel_orders(n_max: int, x: float) -> np.ndarray:

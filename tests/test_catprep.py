@@ -71,6 +71,31 @@ def test_cat_amplitudes_vacuum_limit():
     assert np.max(np.abs(c[1:])) < 1e-9
 
 
+def factorial_cat_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """c_2m = N+ 2 (alpha/2)^2m exp(-|alpha|^2/8) / sqrt((2m)!), term by term."""
+    alpha = complex(alpha)
+    norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    for m in range(cutoff // 2 + 1):
+        amps[2 * m] = (
+            norm_plus * 2.0 * (alpha / 2.0) ** (2 * m) * math.exp(-abs(alpha) ** 2 / 8.0)
+            / math.sqrt(math.factorial(2 * m))
+        )
+    return amps
+
+
+@pytest.mark.parametrize("alpha", [3.3, 1.7 + 0.4j, 1e-8, 0.0])
+@pytest.mark.parametrize("cutoff", [6, 7, 12, 30])
+def test_cat_amplitudes_match_factorial_oracle(alpha, cutoff):
+    oracle = factorial_cat_amplitudes(alpha, cutoff)
+    c = cat_fock_amplitudes(CatSpec(alpha=alpha), cutoff)
+    assert c.shape == (cutoff + 1,)
+    assert np.max(np.abs(c - oracle)) <= 1e-15
+    assert np.all(c[1::2] == 0)
+    renormalized = cat_fock_amplitudes(CatSpec(alpha=alpha), cutoff, renormalize=True)
+    assert np.max(np.abs(renormalized - oracle / np.linalg.norm(oracle))) <= 1e-15
+
+
 def test_truncation_fidelity():
     assert truncation_fidelity(CatSpec(alpha=3.3)) == pytest.approx(0.989, abs=1e-3)
 

@@ -62,9 +62,8 @@ def read_rows(path):
 def test_load_config_units(config_path):
     cfg = load_config(config_path)
     assert cfg.cutoff == 24
-    p = cfg.qubits[0].floquet_params(cfg.omega_s_MHz)
+    p = cfg.qubits[0].floquet_params()
     assert p.xi == pytest.approx(2 * math.pi * 19.6e6)
-    assert p.omega_m == pytest.approx((5796.0 - 190.0) * MHZ)
 
 
 @pytest.mark.parametrize(
@@ -325,6 +324,57 @@ def test_config_rejects_mhz_past_the_rad_per_s_range(tmp_path, capsys, section, 
     field = f"qubits[0].{key}" if section == "qubits" else f"{section}.{key}"
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()
+
+
+def _unordered_grid(axis: str, lo: float, hi: float) -> dict:
+    import copy
+
+    data = copy.deepcopy(CONFIG)
+    data["scenario"]["wigner_grid"].update({f"{axis}_min": lo, f"{axis}_max": hi})
+    return data
+
+
+@pytest.mark.parametrize("axis", ["re", "im"])
+@pytest.mark.parametrize("lo,hi", [(4.5, -1.5), (1.0, 1.0)])
+def test_config_rejects_unordered_wigner_grid(tmp_path, capsys, axis, lo, hi):
+    data = _unordered_grid(axis, lo, hi)
+    with pytest.raises(ConfigError, match="scenario.wigner_grid"):
+        parse_config(data)
+    # one point needs no order
+    data["scenario"]["wigner_grid"][f"{axis}_points"] = 1
+    parse_config(data)
+    path = tmp_path / "grid.yaml"
+    path.write_text(yaml.safe_dump(_unordered_grid(axis, lo, hi)))
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(path), "--time", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario.wigner_grid: ")
+    assert not out.exists()
+    out = tmp_path / "d.csv"
+    rc = main(["decohere", "--config", str(path), "--wigner-times", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: scenario.wigner_grid: ")
+    assert not out.exists()
+
+
+def test_cat_synthesis_rejects_cutoff_below_its_levels(tmp_path, capsys):
+    data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 5})
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(data))
+    steps, fock = tmp_path / "s.csv", tmp_path / "f.csv"
+    rc = main(["prep-cat", "--config", str(path), "--steps-out", str(steps),
+               "--fock-out", str(fock)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resonator.cutoff: 5 ") and "7 Fock levels" in err
+    assert not steps.exists() and not fock.exists()
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resonator.cutoff: 5 ") and "7 Fock levels" in err
+    # the reservoir paths start from the ideal cat, which any cutoff holds
+    assert main(["decohere", "--config", str(path), "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["wigner", "--config", str(path), "--time", "3",
+                 "--out", str(tmp_path / "wt.csv")]) == 0
 
 
 def test_fit_rabi_rejects_nonfinite_sample(tmp_path, capsys):
@@ -594,7 +644,7 @@ def _written_configs() -> list[str]:
         data = copy.deepcopy(CONFIG)
         data["qubits"][0]["nu_MHz"] = bad
         texts.append(yaml.safe_dump(data))
-    for cutoff in (12, 40):
+    for cutoff in (5, 12, 40):
         resonator = {"omega_s_MHz": 5796.0, "cutoff": cutoff}
         texts.append(yaml.safe_dump(dict(CONFIG, resonator=resonator)))
     qubits = [
@@ -602,6 +652,7 @@ def _written_configs() -> list[str]:
         for name, xi, eps, nu, k in DRIVE_TABLE
     ]
     texts.append(yaml.safe_dump(dict(CONFIG, qubits=qubits)))
+    texts.append(yaml.safe_dump(_unordered_grid("re", 4.5, -1.5)))
     return texts
 
 

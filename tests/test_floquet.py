@@ -131,7 +131,7 @@ def test_stark_shifts_match_scipy_oracle_device_rows():
     cfg = load_config(str(DEVICE_YAML))
     assert len(cfg.qubits) == 8
     for q in cfg.qubits:
-        p = q.floquet_params(cfg.omega_s_MHz)
+        p = q.floquet_params()
         s1 = s2 = 0.0
         for n in range(-25, 26):
             if n != 1:
@@ -219,7 +219,8 @@ def dense_swap_frequency(p: FloquetParams) -> float:
 
 def test_swap_frequency_matches_dense_midpoint_oracle():
     # the device rows at compensated detuning, then seeded random drives
-    # with a detuning and a Kerr term of their own
+    # with a detuning and a Kerr term of their own, and drives with xi < 0,
+    # eps < 0 or both
     params = []
     for row in DRIVE_TABLE:
         p = drive_params(row)
@@ -232,6 +233,12 @@ def test_swap_frequency_matches_dense_midpoint_oracle():
         delta, k = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 10.0), rng.uniform(100.0, 300.0)
         params.append(FloquetParams(
             xi=xi * MHZ, eps=eps * MHZ, nu=nu * MHZ, delta=delta * MHZ, K=k * MHZ,
+        ))
+    for xi_sign, eps_sign in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        xi, eps, nu = rng.uniform(5.0, 20.0), rng.uniform(20.0, 90.0), rng.uniform(130.0, 230.0)
+        params.append(FloquetParams(
+            xi=xi_sign * xi * MHZ, eps=eps_sign * eps * MHZ, nu=nu * MHZ,
+            delta=rng.uniform(-10.0, 10.0) * MHZ, K=250.0 * MHZ,
         ))
     for p in params:
         f = swap_frequency(p)
@@ -259,7 +266,7 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["xi", "eps", "nu", "delta", "K", "omega_s"])
+@pytest.mark.parametrize("field", ["xi", "eps", "nu", "delta", "K"])
 def test_params_reject_non_finite(field, bad):
     kwargs = dict(xi=19.6 * MHZ, eps=81.5 * MHZ, nu=190.0 * MHZ, K=250.0 * MHZ)
     kwargs[field] = bad

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +59,9 @@ def test_ladder_commutator_below_truncation():
 def test_coherent_state_vacuum_and_mean_photon():
     vac = coherent_state(0.0, 5)
     assert vac.amps[0] == 1.0
-    psi = coherent_state(3.3, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)  # the tail at 40 is below 1e-8
+        psi = coherent_state(3.3, 40)
     n_mean = np.sum(np.arange(40) * np.abs(psi.amps) ** 2)
     assert n_mean == pytest.approx(10.89, abs=1e-6)
 
@@ -72,8 +76,11 @@ def test_coherent_state_tail_oracle():
         [math.factorial(int(k)) for k in n]
     )
     assert np.sum(raw**2) == pytest.approx(cdf, abs=1e-12)
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as caught:
         coherent_state(alpha, cutoff)
+    # the warning reports that Poisson tail, 1 - cdf, to 3 digits
+    reported = re.search(r"tail (\S+) exceeds", str(caught[0].message)).group(1)
+    assert float(reported) == pytest.approx(1.0 - cdf, rel=1e-3)
 
 
 def test_displacement_identity_and_action():
