@@ -20,16 +20,22 @@ from catbath.config import MHZ, ConfigError, load_config
 from catbath.hilbert import StateVector, TruncationWarning, density_from_state, fidelity
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default="configs/device.yaml")
     ap.add_argument("--cutoff", type=int, default=40)
     ap.add_argument("--out", default="wigner_cat.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
+    levels = catprep.N_STAR + 1
+    if args.cutoff < levels:
+        raise SystemExit(
+            f"error: --cutoff: {args.cutoff} is below the {levels} Fock levels "
+            "the cat synthesis needs"
+        )
 
     alpha = cfg.scenario.alpha
     spec = catprep.CatSpec(alpha=alpha)

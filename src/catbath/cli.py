@@ -9,7 +9,8 @@ written to a temporary file and renamed into place, so a failed run
 leaves no half-written output.
 Numerical warnings do not fail a run; they are collected into a
 sidecar log next to the main output (``<out>.warnings.log``), one line
-per kind of warning with its count and its first and last message.
+per kind of warning, that is per category and source line that issued
+it, with its count and its first and last message.
 
 The ``decohere`` columns come from two models, each evaluated over the
 whole time grid in one call: ``entropy_bits`` from qubit 0's state in
@@ -29,7 +30,6 @@ import contextlib
 import csv
 import math
 import os
-import re
 import sys
 import warnings
 
@@ -400,25 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
 def _group_warnings(caught) -> list[str]:
     """One line per kind of warning, in order of first appearance.
 
-    A kind is the category plus the message with its numbers masked, so
-    a warning repeated at every time step with a new value is one line:
-    its count, its first message and its last.
+    A kind is the category plus the source line that issued it (the
+    file and line number of its warnings.warn call), so a warning
+    repeated at every time step with a new value is one line: its
+    count, its first message and its last.
     """
-    kinds: dict[tuple[str, str], tuple[int, str, str]] = {}
+    kinds: dict[tuple[str, str, int], tuple[int, str, str]] = {}
     for w in caught:
         text = str(w.message)
-        key = (w.category.__name__, _NUMBER.sub("#", text))
+        key = (w.category.__name__, w.filename, w.lineno)
         count, first, _ = kinds.get(key, (0, text, text))
         kinds[key] = (count + 1, first, text)
     return [
         f"{category} x{count}: {first}" + (f" | last: {last}" if count > 1 else "")
-        for (category, _), (count, first, last) in kinds.items()
+        for (category, _, _), (count, first, last) in kinds.items()
     ]
 
 

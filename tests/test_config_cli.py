@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,13 @@ import yaml
 
 import catbath
 from catbath import analysis, catprep, dynamics
-from catbath.cli import _reservoir_from_config, _write_csv, _write_wigner, main
+from catbath.cli import (
+    _group_warnings,
+    _reservoir_from_config,
+    _write_csv,
+    _write_wigner,
+    main,
+)
 from catbath.config import (
     MHZ,
     NS,
@@ -377,6 +385,20 @@ def test_cat_synthesis_rejects_cutoff_below_its_levels(tmp_path, capsys):
                  "--out", str(tmp_path / "wt.csv")]) == 0
 
 
+def test_cat_synthesis_demo_rejects_cutoff_below_its_levels(tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "cat_synthesis_demo.py"
+    spec = importlib.util.spec_from_file_location("cat_synthesis_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    out = tmp_path / "w.csv"
+    with pytest.raises(SystemExit) as exc:
+        demo.main(["--config", str(DEVICE_YAML), "--cutoff", "5", "--out", str(out)])
+    # a string exit code is printed to stderr and exits 1
+    assert str(exc.value.code).startswith("error: --cutoff: 5 ")
+    assert "7 Fock levels" in str(exc.value.code)
+    assert not out.exists()
+
+
 def test_fit_rabi_rejects_nonfinite_sample(tmp_path, capsys):
     data = tmp_path / "rabi.csv"
     data.write_text("tau_ns,pe\n0,0\n10,nan\n20,0.5\n")
@@ -498,6 +520,28 @@ def test_warnings_log_groups_by_kind(tmp_path):
     assert len(strained) == 1
     assert strained[0].startswith("UserWarning x388: qubit excitation 1.140 ")
     assert "last: qubit excitation 4.006 " in strained[0]
+
+
+def test_group_warnings_by_source_line():
+    def strained(x):
+        warnings.warn(f"excitation {x:.3f} is high", UserWarning)
+
+    def same_template(x):
+        warnings.warn(f"excitation {x:.3f} is high", UserWarning)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        same_template(0.5)
+        for x in (1.0, 2.5, 4.0):
+            strained(x)
+        warnings.warn("cutoff 12 is small", TruncationWarning)
+        same_template(0.75)
+    # one line per source line, in order of first appearance
+    assert _group_warnings(caught) == [
+        "UserWarning x2: excitation 0.500 is high | last: excitation 0.750 is high",
+        "UserWarning x3: excitation 1.000 is high | last: excitation 4.000 is high",
+        "TruncationWarning x1: cutoff 12 is small",
+    ]
 
 
 def test_decohere_truncation_warning_once_per_run(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catbath.analysis import von_neumann_entropy
 from catbath.dynamics import (
+    _TIME_CHUNK,
     ReservoirSpec,
     analytic_joint_state,
     analytic_qubit_states,
@@ -469,6 +470,33 @@ def test_analytic_qubit_states_match_joint_state_n8():
     err, fast, slow = _qubit_states_against_joint(times, ALPHA, table_spec(8), 40)
     assert err < 1e-12
     assert len(slow) > 10 and fast == slow
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+@pytest.mark.parametrize("n", [7, 8])
+def test_analytic_qubit_states_at_truncation_boundary(n, offset, detuned):
+    # E_n is a truncated sum below n = N - 1 and a plain product above it;
+    # cutoffs N - 1 .. N + 2 put the switch at, just inside and past the edge
+    cutoff = n + offset
+    alpha = 2.1 + 0.9j
+    lams = tuple(2.0 * lh * MHZ for lh in LAMBDA_HALF_TABLE[:n])
+    deltas = tuple(np.linspace(-2.5, 3.0, n) * MHZ * detuned)
+    spec = ReservoirSpec(lams, deltas, abs(alpha) ** 2)
+    # a count that is not a multiple of the chunk, then a single time
+    times = np.linspace(0.0, 120.0, _TIME_CHUNK + 5) * NS
+    err, fast, slow = _qubit_states_against_joint(times, alpha, spec, cutoff)
+    assert err < 1e-12
+    assert len(slow) > 0 and fast == slow
+    err, fast, slow = _qubit_states_against_joint(times[-1:], alpha, spec, cutoff)
+    assert err < 1e-12
+    assert len(slow) == 1 and fast == slow
+    # an empty grid: no state and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        empty = analytic_qubit_states(np.array([]), ALPHA, spec, 40)
+    assert empty.shape == (0, 2, 2)
+    assert caught == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
