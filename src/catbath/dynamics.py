@@ -26,14 +26,18 @@ floquet.
 
 Exact propagation is the reference for both.  evolve_excitation_blocks
 applies the sparse Hamiltonian by a Chebyshev series at any register
-size; the dense reservoir_hamiltonian with hilbert.evolve is kept as
-the test oracle for small registers.
+size.  It builds the Hamiltonian only on the excitation levels the
+state occupies, since H never leaves a level, and keeps the operator
+of its last call, so a repeated call on the same Hamiltonian and
+levels costs the series alone.  The dense reservoir_hamiltonian with
+hilbert.evolve is kept as the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,6 +49,7 @@ from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
+    _chebyshev_operator,
     _chebyshev_propagate,
     _fock_rabi_amplitudes,
     annihilation,
@@ -381,37 +386,83 @@ def coherence_factor(t, spec: ReservoirSpec):
     return complex(coh) if coh.ndim == 0 else coh
 
 
-def evolve_excitation_blocks(
-    spec: ReservoirSpec, psi: StateVector, t: float, cutoff: int
-) -> StateVector:
-    """Exact propagation exp(-iHt) psi of the sparse reservoir Hamiltonian.
+def _excitation_numbers(n_qubits: int, cutoff: int) -> np.ndarray:
+    """a^dag a + sum_k |e><e|_k of each basis index n 2^N + b: n + popcount(b)."""
+    popcount = np.zeros(1, dtype=int)
+    for _ in range(n_qubits):
+        popcount = np.concatenate([popcount, popcount + 1])
+    return (np.arange(cutoff)[:, None] + popcount).ravel()
+
+
+def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray):
+    """(diag, src, dst, amp) of H on the basis indices `rows`, as positions in `rows`.
 
     Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
     b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
-    lambda_k/2 sqrt(n+1).  H is assembled from these index relations,
-    with at most N + 1 nonzeros per row; it is real, and
-    hilbert._chebyshev_propagate applies it in about r|t| real sparse
-    products per nonzero part (real, imaginary) of the state, r the
-    half-width of the Gershgorin bound on the spectrum.  H never couples
-    two total excitation numbers a^dag a + sum_k |e><e|_k, so the
-    population of each is conserved without splitting the state into
-    blocks.  t may be negative; it must be finite.
+    lambda_k/2 sqrt(n+1), and delta_k adds to the diagonal.  `rows`
+    must be sorted, nonempty and hold whole excitation levels, so that
+    every partner of a row is itself in `rows`.
     """
-    _require_finite(t)
-    layout = _layout(spec, cutoff)
-    if psi.layout != layout:
-        raise ValueError("state layout does not match the reservoir layout")
     n_q = spec.n_qubits
     width = 2**n_q
-    photons, pattern = np.divmod(np.arange(layout.dim), width)
+    photons, pattern = np.divmod(rows, width)
     qubit_bit = 1 << np.arange(n_q - 1, -1, -1)  # bit of qubit k in b
     excited = (pattern[:, None] & qubit_bit) > 0
     diag = excited @ np.asarray(spec.detunings)
     # a^dag |g><e|_k: photon up, qubit k down
     src, k = np.nonzero(excited & (photons[:, None] + 1 < cutoff))
-    dst = src + width - qubit_bit[k]
+    position = np.empty(rows[-1] + 1, dtype=int)  # of each basis index in rows
+    position[rows] = np.arange(rows.size)
+    dst = position[rows[src] + width - qubit_bit[k]]
     amp = np.asarray(spec.couplings)[k] / 2.0 * np.sqrt(photons[src] + 1.0)
-    return StateVector(layout, _chebyshev_propagate(diag, src, dst, amp, t, psi.amps))
+    return diag, src, dst, amp
+
+
+@functools.lru_cache(maxsize=1)
+def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
+    """(rows, (c, r, 2H~)): H on the excitation levels flagged in `occupied`.
+
+    `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
+    operator of the last (spec, cutoff, occupied) is kept, about 1 MiB
+    at N = 8, cutoff 40, so a repeated call on one Hamiltonian and one
+    set of levels skips the build.
+    """
+    levels = np.frombuffer(occupied, dtype=bool)
+    rows = np.flatnonzero(levels[_excitation_numbers(spec.n_qubits, cutoff)])
+    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows))
+
+
+def evolve_excitation_blocks(
+    spec: ReservoirSpec, psi: StateVector, t: float, cutoff: int
+) -> StateVector:
+    """Exact propagation exp(-iHt) psi of the sparse reservoir Hamiltonian.
+
+    H never couples two total excitation numbers m = a^dag a +
+    sum_k |e><e|_k, so a level where psi is zero stays exactly zero,
+    and the population of each level is conserved without splitting
+    the state into blocks.  H is built by _exchange_terms on the rows
+    of the levels psi occupies only, with at most N + 1 nonzeros per
+    row; it is real, and hilbert._chebyshev_propagate applies it in
+    about r|t| real sparse products per nonzero part (real, imaginary)
+    of the state, r the half-width of the Gershgorin bound on the
+    spectrum of those rows.  A state in low levels thus gets a short
+    series, and a zero state returns zeros.  The operator of the last
+    call is kept, so a call with the same spec, cutoff and occupied
+    levels skips the build.  t may be negative; it must be finite.
+    """
+    _require_finite(t)
+    layout = _layout(spec, cutoff)
+    if psi.layout != layout:
+        raise ValueError("state layout does not match the reservoir layout")
+    excitation = _excitation_numbers(spec.n_qubits, cutoff)
+    occupied = np.bincount(
+        excitation[np.flatnonzero(psi.amps)], minlength=cutoff + spec.n_qubits
+    ) > 0
+    out = np.zeros(layout.dim, dtype=complex)
+    if occupied.any():
+        rows, operator = _level_operator(spec, cutoff, occupied.tobytes())
+        out[rows] = _chebyshev_propagate(operator, t, psi.amps[rows])
+    return StateVector(layout, out)
 
 
 def reduced_qubit_state(psi: StateVector, k: int) -> DensityMatrix:

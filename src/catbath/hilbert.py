@@ -300,27 +300,17 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     return j[: n_max + 1]
 
 
-def _chebyshev_propagate(
-    diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, t: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """exp(-iHt) x for a sparse real symmetric H, by a Chebyshev series.
+def _chebyshev_operator(diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray):
+    """(c, r, 2H~): the operator that _chebyshev_propagate applies.
 
     H has the real diagonal `diag` and the real off-diagonal elements
     H[src, dst] = H[dst, src] = amp, each pair listed once; a complex
-    `diag` or `amp` is an error.  With the Gershgorin interval
-    [c - r, c + r] of the spectrum and H~ = (H - c)/r,
-    exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
-    real, and (-i)^k is real for even k and imaginary for odd k, so the
-    three-term recurrence of T_k runs in real arithmetic on the real
-    and on the imaginary part of x, and each part's even and odd terms
-    are summed separately and combined once at the end.  A part of x
-    that is all zero is skipped.  The series stops at the last term
-    whose coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster
-    than exponentially once k > |rt|.  Only H v products are formed,
-    so the cost is about r|t| real sparse products per nonzero part of
-    x.  t may be negative.
+    `diag` or `amp` is an error.  [c - r, c + r] is the Gershgorin
+    interval of its spectrum and H~ = (H - c)/r.  The factor 2 of the
+    Chebyshev recurrence is stored in the values of the real CSR
+    matrix 2H~; doubling is exact, so this changes no digit.  Diagonal
+    entries equal to c are zero in H~ and are not stored.  Build it
+    once and apply it at any number of times.
     """
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
@@ -333,6 +323,40 @@ def _chebyshev_propagate(
     lo, hi = np.min(diag - radius), np.max(diag + radius)
     # a diagonal H with one value has r = 0; any r > 0 then bounds it
     c, r = (hi + lo) / 2.0, max((hi - lo) / 2.0, np.finfo(float).tiny)
+    shifted = np.flatnonzero(diag != c)
+    # int32 indices, and arrays that die with the call, keep the assembly small
+    as_int32 = {"dtype": np.int32, "casting": "same_kind"}
+    two_h = sparse.csr_matrix(
+        (
+            np.concatenate([diag[shifted] - c, amp, amp]) / r * 2.0,
+            (
+                np.concatenate([shifted, src, dst], **as_int32),
+                np.concatenate([shifted, dst, src], **as_int32),
+            ),
+        ),
+        shape=(dim, dim),
+    )
+    return c, r, two_h
+
+
+def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
+    """exp(-iHt) x for the (c, r, 2H~) of _chebyshev_operator, by a Chebyshev series.
+
+    exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
+    real, and (-i)^k is real for even k and imaginary for odd k, so the
+    three-term recurrence T_k = 2H~ T_(k-1) - T_(k-2) runs in real
+    arithmetic on the real and on the imaginary part of x, and each
+    part's even and odd terms are summed separately and combined once
+    at the end.  A part of x that is all zero is skipped.  The series
+    stops at the last term whose coefficient exceeds _CHEBYSHEV_TOL;
+    J_k(rt) falls off faster than exponentially once k > |rt|.  Only
+    2H~ v products are formed, so the cost is about r|t| real sparse
+    products per nonzero part of x, each of one pass over the stored
+    entries of 2H~.  t may be negative.
+    """
+    c, r, two_h = operator
+    dim = x.size
     z = r * t
     # J_k(z) dies past the Airy transition, about |z|^(1/3) wide beyond
     # k = |z|; at this length it is below 1e-27 for |z| up to 1e6, so the
@@ -342,30 +366,20 @@ def _chebyshev_propagate(
     sign = np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
     coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)
     coef = coef[: np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1]
-    # int32 indices, and arrays that die with the call, keep the assembly small
-    as_int32 = {"dtype": np.int32, "casting": "same_kind"}
-    h = sparse.csr_matrix(
-        (
-            np.concatenate([diag - c, amp, amp]) / r,
-            (
-                np.concatenate([np.arange(dim), src, dst], **as_int32),
-                np.concatenate([np.arange(dim), dst, src], **as_int32),
-            ),
-        ),
-        shape=(dim, dim),
-    )
+    term = np.empty(dim)  # c_k T_k v
 
     def series(v):
         """[even, odd]: sum_k coef_k T_k(H~) v over even and over odd k."""
         sums = [coef[0] * v, np.zeros(dim)]
         prev, cur = None, v
         for k, ck in enumerate(coef[1:], 1):
-            nxt = h @ cur
-            if k > 1:  # T_k = 2 H~ T_(k-1) - T_(k-2), in place
-                nxt *= 2.0
+            nxt = two_h @ cur
+            if k == 1:  # T_1 = H~ T_0
+                nxt *= 0.5
+            else:  # T_k = 2 H~ T_(k-1) - T_(k-2), in place
                 nxt -= prev
             prev, cur = cur, nxt
-            sums[k % 2] += ck * cur
+            sums[k % 2] += np.multiply(ck, cur, out=term)
         return sums
 
     # the odd terms carry the factor -i of (-i)^k

@@ -26,7 +26,7 @@ from catbath.hilbert import (
     SpaceLayout,
     StateVector,
     TruncationWarning,
-    _chebyshev_propagate,
+    _chebyshev_operator,
     coherent_state,
     evolve,
     fidelity,
@@ -330,6 +330,9 @@ def _block_eigh_oracle(spec: ReservoirSpec, psi: StateVector, t: float) -> np.nd
         blocks.setdefault(sum(levels), []).append(levels)
     out = np.zeros(layout.dim, dtype=complex)
     for states in blocks.values():
+        idx = [layout.index(s) for s in states]
+        if not psi.amps[idx].any():
+            continue  # exp(-iHt) keeps a zero block zero
         pos = {s: i for i, s in enumerate(states)}
         h = np.zeros((len(states), len(states)))
         for i, (n, *b) in enumerate(states):
@@ -338,7 +341,6 @@ def _block_eigh_oracle(spec: ReservoirSpec, psi: StateVector, t: float) -> np.nd
                 if b[k] and n + 1 < cutoff:
                     j = pos[(n + 1, *b[:k], 0, *b[k + 1 :])]
                     h[i, j] = h[j, i] = spec.couplings[k] / 2.0 * math.sqrt(n + 1.0)
-        idx = [layout.index(s) for s in states]
         w, v = np.linalg.eigh(h)
         out[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amps[idx]))
     return out
@@ -352,6 +354,10 @@ def test_engine_matches_block_eigh_oracle_n8():
     t = 137.3 * NS
     out = evolve_excitation_blocks(spec, psi0, t, 20)
     assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, psi0, t))) < 1e-12
+    # one full middle level at 1 us: the series runs on its 256 rows only
+    single = StateVector(psi0.layout, np.where(_excitation(psi0.layout) == 10, psi0.amps, 0.0))
+    out = evolve_excitation_blocks(spec, single, 1e-6, 20)
+    assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, single, 1e-6))) < 1e-12
 
 
 def test_engine_long_time_matches_dense():
@@ -386,10 +392,17 @@ def test_engine_is_complex_linear():
     assert np.max(np.abs(out_rotated - 1j * out)) <= 1e-15
 
 
-@pytest.mark.parametrize("part", ["real", "imaginary", "mixed"])
+def _excitation(layout: SpaceLayout) -> np.ndarray:
+    """a^dag a + sum_k |e><e|_k of each basis index, from the layout's tuples."""
+    return sum(np.unravel_index(np.arange(layout.dim), layout.dims))
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary", "mixed", "level-1", "level-cutoff"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_engine_state_parts_match_dense(part, n):
-    # a purely real or imaginary state skips one of the two real series
+    # a purely real or imaginary state skips one of the two real series; a
+    # state in one excitation level runs on that level's rows only, also a
+    # level m >= cutoff, and every other level stays exactly zero
     spec = ReservoirSpec(
         table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
     )
@@ -397,12 +410,51 @@ def test_engine_state_parts_match_dense(part, n):
     layout = SpaceLayout((cutoff,) + (2,) * n)
     rng = np.random.default_rng(n)
     re, im = rng.normal(size=(2, layout.dim))
-    amps = {"real": re, "imaginary": 1j * im, "mixed": re + 1j * im}[part]
+    excitation = _excitation(layout)
+    amps = {
+        "real": re,
+        "imaginary": 1j * im,
+        "mixed": re + 1j * im,
+        "level-1": np.where(excitation == 1, re + 1j * im, 0.0),
+        "level-cutoff": np.where(excitation == cutoff, re + 1j * im, 0.0),
+    }[part]
     psi0 = StateVector(layout, amps / np.linalg.norm(amps))
+    unoccupied = ~np.isin(excitation, excitation[psi0.amps != 0])
     h = reservoir_hamiltonian(spec, cutoff)
     for t in (9e-9, -27e-9, 140e-9):
         out = evolve_excitation_blocks(spec, psi0, t, cutoff)
         assert np.max(np.abs(out.amps - evolve(h, psi0, t).amps)) < 1e-12
+        assert np.all(out.amps[unoccupied] == 0.0)
+
+
+def test_engine_zero_state_returns_zeros():
+    spec = table_spec(3)
+    layout = SpaceLayout((12,) + (2,) * 3)
+    out = evolve_excitation_blocks(spec, StateVector(layout, np.zeros(layout.dim)), 50e-9, 12)
+    assert np.array_equal(out.amps, np.zeros(layout.dim))
+
+
+def test_engine_kept_operator_follows_spec_and_levels():
+    # the engine keeps the operator of its last call; consecutive calls
+    # here differ in one detuning only, or in the occupied levels only,
+    # and one repeats, and each must match dense evolution
+    lams = table_spec(3).couplings
+    spec_a = ReservoirSpec(lams, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ), N_MEAN)
+    spec_b = ReservoirSpec(lams, (1.5 * MHZ, -0.7 * MHZ, -2.4 * MHZ), N_MEAN)
+    cutoff = 10
+    layout = SpaceLayout((cutoff,) + (2,) * 3)
+    psi = _random_state(layout, 5)
+    excitation = _excitation(layout)
+    low = StateVector(layout, np.where(excitation == 2, psi.amps, 0.0))
+    high = StateVector(layout, np.where((excitation == 5) | (excitation == 9), psi.amps, 0.0))
+    dense = {spec: reservoir_hamiltonian(spec, cutoff) for spec in (spec_a, spec_b)}
+    t = 61e-9
+    for spec, state in [
+        (spec_a, low), (spec_a, low), (spec_b, low), (spec_b, high), (spec_a, high),
+        (spec_a, low),
+    ]:
+        out = evolve_excitation_blocks(spec, state, t, cutoff)
+        assert np.max(np.abs(out.amps - evolve(dense[spec], state, t).amps)) < 1e-12
 
 
 @pytest.mark.parametrize("arg", ["diag", "amp"])
@@ -410,8 +462,7 @@ def test_chebyshev_rejects_complex_hamiltonian(arg):
     args = {"diag": np.zeros(3), "amp": np.array([0.5])}
     args[arg] = args[arg].astype(complex)
     with pytest.raises(ValueError, match="real symmetric"):
-        _chebyshev_propagate(args["diag"], np.array([0]), np.array([1]), args["amp"], 1.0,
-                             np.ones(3, dtype=complex))
+        _chebyshev_operator(args["diag"], np.array([0]), np.array([1]), args["amp"])
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
