@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import math
 import os
 import sys
@@ -67,12 +68,36 @@ def _atomic_open(path: str):
         raise
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it in a row of more than one cell."""
+    buf = io.StringIO()
+    # the quoting depends on the line terminator: keep _write_csv's
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """The header, then each row formatted by one "%" on a row template.
+
+    The first row fixes the template: "%s" where it holds a str, which
+    is quoted as csv.writer quotes it, and "%.12g", formatting as _fmt
+    does, everywhere else.  Every row holds its str cells where the
+    first row does; a str in a number's place raises TypeError.
+    """
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        template, text_cols = None, []
         for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+            if template is None:
+                text_cols = [i for i, c in enumerate(row) if isinstance(c, str)]
+                template = ",".join(
+                    "%s" if isinstance(c, str) else "%.12g" for c in row
+                ) + "\n"
+            if text_cols:
+                row = list(row)
+                for i in text_cols:
+                    row[i] = _csv_cell(row[i])
+            fh.write(template % tuple(row))
 
 
 def _read_csv(path: str, required: list[str]) -> list[dict]:

@@ -15,9 +15,11 @@ displaced-parity matrix elements are associated Laguerre polynomials
 whole grid by their normalized three-term recurrence along each
 diagonal of rho (as in QuTiP's iterative ``wigner``; Johansson, Nation
 & Nori, CPC 184, 1234, 2013).  The recurrence depends on beta only
-through the real x = 4|beta|^2, so it runs in real arithmetic; the
-phase e^(ik phi) of diagonal k, beta = |beta| e^(i phi), is applied
-once per diagonal.  See ``wigner_map``.
+through the real x = 4|beta|^2, so it runs in real arithmetic, once per
+distinct x of the grid (the +-Re and +-Im mirror points of a grid
+share one); the phase e^(ik phi) of diagonal k, beta = |beta| e^(i phi),
+is applied per grid point once per diagonal.  A map costs
+O(d^2 #distinct x + d #grid) for a cutoff d.  See ``wigner_map``.
 """
 
 from __future__ import annotations
@@ -164,24 +166,30 @@ def _wigner(rho: DensityMatrix, beta) -> np.ndarray:
 
     With x = 4|beta|^2 and beta = |beta| e^(i phi), the displaced-parity
     element W_{m,m+k} is e^(ik phi) R_{m,k}(x), R real (see
-    ``wigner_map``).  For each diagonal k of rho the recurrence steps
-    R_{m,k} -> R_{m+1,k} on real arrays and sums Re rho_{m,m+k} R_{m,k}
-    and Im rho_{m,m+k} R_{m,k} into two real accumulators; the phase
-    e^(ik phi), a running product of e^(i phi), is applied once per
-    diagonal.  Every update is made in place into buffers of the shape
-    of `beta`, so the peak memory does not grow with the cutoff.
+    ``wigner_map``).  The recurrence runs on the distinct values of x
+    only: for each diagonal k of rho it steps R_{m,k} -> R_{m+1,k} and
+    sums Re rho_{m,m+k} R_{m,k} and Im rho_{m,m+k} R_{m,k} into two real
+    accumulators, all five buffers of the size of the distinct x.  The
+    accumulators are then gathered back to the grid and the phase
+    e^(ik phi), a running product of e^(i phi) on the grid, is applied
+    once per diagonal.  Each grid point goes through the same
+    floating-point operations whether or not other points share its x,
+    so the sharing changes no bit of W.  Every update is made in place,
+    so the peak memory does not grow with the cutoff.
     """
     if rho.layout.n_factors != 1:
         raise ValueError("the Wigner function requires a single bosonic mode")
     mat = rho.mat
     d = mat.shape[0]
     beta = np.asarray(beta, dtype=complex)
-    x = 4.0 * (beta.real**2 + beta.imag**2)
+    x, inv = np.unique(4.0 * (beta.real**2 + beta.imag**2), return_inverse=True)
+    inv = inv.reshape(beta.shape)  # its shape varies across numpy versions
     two_abs = np.sqrt(x)  # 2|beta|
     unit = np.exp(1j * np.angle(beta))  # e^(i phi); 1 at beta = 0, where R_{0,k>0} = 0
     phase = np.ones(beta.shape, dtype=complex)
     head = (2.0 / math.pi) * np.exp(-x / 2.0)  # R_{0,k}
-    prev, cur, tmp, acc_re, acc_im = (np.empty(beta.shape) for _ in range(5))
+    prev, cur, tmp, acc_re, acc_im = (np.empty(x.shape) for _ in range(5))
+    grid_re, grid_im = np.empty(beta.shape), np.empty(beta.shape)
     w = np.zeros(beta.shape)
     for k in range(d):
         if k:
@@ -207,11 +215,13 @@ def _wigner(rho: DensityMatrix, beta) -> np.ndarray:
             acc_re += tmp
             np.multiply(cur, im[m + 1], out=tmp)
             acc_im += tmp
-        # Re[e^(ik phi) (acc_re + i acc_im)]
-        acc_re *= phase.real
-        acc_im *= phase.imag
-        w += acc_re
-        w -= acc_im
+        # Re[e^(ik phi) (acc_re + i acc_im)], per grid point
+        np.take(acc_re, inv, out=grid_re)
+        np.take(acc_im, inv, out=grid_im)
+        grid_re *= phase.real
+        grid_im *= phase.imag
+        w += grid_re
+        w -= grid_im
     return w
 
 
@@ -243,11 +253,14 @@ def wigner_map(rho: DensityMatrix, re_grid, im_grid) -> WignerMap:
 
     the iterative scheme of QuTiP's ``wigner`` (Johansson, Nation & Nori,
     CPC 184, 1234, 2013) with the factorials folded into each step, run
-    on real arrays.  e^(ik phi) is a running product of e^(i phi), so
-    beta = 0, where R_{0,k>0} = 0, stays exact.  Every W_mn is a matrix
-    element of (2/pi) D(beta) P D(beta)^dag (P the parity), so
-    |R_{m,k}| = |W_{m,m+k}| <= 2/pi: nothing overflows.  The map is
-    exact for the truncated rho; no padding is needed.
+    on real arrays of the distinct x of the grid only: mirror points
+    beta, beta*, -beta, -beta* and any other points of equal |beta|
+    share one R.  For a cutoff d the map costs O(d^2 #distinct x) for the
+    recurrence and O(d #grid) for the phases.  e^(ik phi) is a running
+    product of e^(i phi), so beta = 0, where R_{0,k>0} = 0, stays exact.
+    Every W_mn is a matrix element of (2/pi) D(beta) P D(beta)^dag (P the
+    parity), so |R_{m,k}| = |W_{m,m+k}| <= 2/pi: nothing overflows.  The
+    map is exact for the truncated rho; no padding is needed.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)

@@ -15,6 +15,7 @@ import yaml
 import catbath
 from catbath import analysis, catprep, dynamics
 from catbath.cli import (
+    _fmt,
     _group_warnings,
     _reservoir_from_config,
     _write_csv,
@@ -603,6 +604,29 @@ def test_write_csv_is_atomic(tmp_path):
     with pytest.raises(ArithmeticError):
         _write_csv(str(tmp_path / "new.csv"), ["a"], rows())
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_matches_the_per_value_writer(tmp_path):
+    # the per-row template against csv.writer fed one _fmt string per number
+    rows = [
+        ("Q1", 3, np.float64(2.0 / 3.0), -0.0),
+        ('a,"b"', -7, np.float64(1e-300), 1e22),
+        ("", 10**15, np.float64(-0.0), 1e-300),
+        ("line\nbreak", 0, np.float64(123456789.123456789), 0.1),
+    ]
+    header = ["name", "n", "x", "y"]
+    path = tmp_path / "new.csv"
+    _write_csv(str(path), header, rows)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    assert path.read_bytes() == ref.read_bytes()
+    assert b'\n"a,""b""",-7,1e-300,1e+22\n' in path.read_bytes()
+    with pytest.raises(TypeError):  # a name where the first row has a number
+        _write_csv(str(path), header, [rows[0], ("Q2", "Q3", 1.0, 1.0)])
 
 
 def test_wigner_cli_map_is_finite(tmp_path, config_path):

@@ -314,3 +314,27 @@ def test_wigner_matches_laguerre_oracle_at_the_phase_edges():
             ref = laguerre_wigner(rho.mat, complex(x, y))
             assert abs(wm.values[i, j] - ref) < 1e-12
             assert abs(wigner_point(rho, complex(x, y)) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("seed,dim", [(3, 5), (17, 12)])
+def test_wigner_map_shares_radii_bitwise(seed, dim):
+    # beta = 0, the +-Re and +-Im mirror points and 0.75+1i, 1+0.75i,
+    # 1.25 (|beta| = 1.25 in every case) share x = 4|beta|^2 bit for
+    # bit; each point must come out as it does beside a point (im = 9)
+    # whose radius it does not share
+    rho = random_density(seed, dim)
+    assert np.abs(np.imag(rho.mat)).max() > 0.01  # complex coherences
+    grid = 0.25 * np.array([-5.0, -4.0, -3.0, 0.0, 3.0, 4.0, 5.0])
+    x = 4.0 * (grid[:, None] ** 2 + grid[None, :] ** 2)
+    assert x[4, 5] == x[5, 4] == x[6, 3] and np.unique(x).size < x.size / 3
+    wm = wigner_map(rho, grid, grid)
+    alone = [[wigner_map(rho, [a], [b, 9.0]).values[0, 0] for b in grid] for a in grid]
+    assert np.array_equal(wm.values, np.array(alone))
+    # wigner_point's one-element phase product rounds differently in the last bits
+    points = [[wigner_point(rho, complex(a, b)) for b in grid] for a in grid]
+    assert np.max(np.abs(wm.values - np.array(points))) < 1e-15
+    # W_rho(beta*) = W_{rho*}(beta): the mirror im -> -im is not a symmetry of W
+    conj = DensityMatrix(rho.layout, rho.mat.conj())
+    mirrored = wigner_map(conj, grid, grid).values[:, ::-1]
+    assert np.max(np.abs(wm.values - mirrored)) < 1e-14
+    assert np.max(np.abs(wm.values - wm.values[:, ::-1])) > 1e-3
