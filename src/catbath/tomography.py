@@ -8,18 +8,19 @@ signal
 
 encodes the photon distribution P_n; a constrained least-squares fit
 inverts it.  The Wigner function is the displaced parity,
-W(alpha) = (2/pi) sum_n (-1)^n <n| D^dag(alpha) rho D(alpha) |n>,
-summed in closed form over the Fock-basis elements of rho: the
-displaced-parity matrix elements are associated Laguerre polynomials
-(Cahill & Glauber, Phys. Rev. 177, 1857, 1969), evaluated over the
-whole grid by their normalized three-term recurrence along each
-diagonal of rho (as in QuTiP's iterative ``wigner``; Johansson, Nation
-& Nori, CPC 184, 1234, 2013).  The recurrence depends on beta only
-through the real x = 4|beta|^2, so it runs in real arithmetic, once per
-distinct x of the grid (the +-Re and +-Im mirror points of a grid
-share one); the phase e^(ik phi) of diagonal k, beta = |beta| e^(i phi),
-is applied per grid point once per diagonal.  A map costs
-O(d^2 #distinct x + d #grid) for a cutoff d.  See ``wigner_map``.
+W(alpha) = (2/pi) sum_n (-1)^n <n| D^dag(alpha) rho D(alpha) |n>.  On a
+rectangular grid it is a separable sum over orthonormal Hermite
+functions of order <= 2d - 2 for a cutoff d,
+
+    W(beta) = sum_{j,l} G_jl h_j(2 Re beta) h_l(2 Im beta),
+
+because the Wigner transform of |m><n| is a 50:50 beam splitter on
+h_m x h_n followed by a Fourier transform that only multiplies h_l by
+(-i)^l (Wunsche, J. Phys. A 31, 8267, 1998).  G is built once per rho
+in O(d^3), one anti-diagonal m + n of rho at a time, by a step of the
+splitter coefficients under which rounding barely grows; the h_j come
+from their three-term recurrence, and W = H_re^T (G H_im) from two
+``np.einsum`` contractions, with no BLAS call.  See ``wigner_map``.
 """
 
 from __future__ import annotations
@@ -161,114 +162,109 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
     return p
 
 
-def _wigner(rho: DensityMatrix, beta) -> np.ndarray:
-    """W at every point of the complex array `beta`, by the real diagonal recurrence.
+def _splitter(d: int):
+    """Yield, for N = 0 .. 2d - 2, the splitter matrix of anti-diagonal N.
 
-    With x = 4|beta|^2 and beta = |beta| e^(i phi), the displaced-parity
-    element W_{m,m+k} is e^(ik phi) R_{m,k}(x), R real (see
-    ``wigner_map``).  The recurrence runs on the distinct values of x
-    only: for each diagonal k of rho it steps R_{m,k} -> R_{m+1,k} and
-    sums Re rho_{m,m+k} R_{m,k} and Im rho_{m,m+k} R_{m,k} into two real
-    accumulators, all five buffers of the size of the distinct x.  The
-    accumulators are then gathered back to the grid and the phase
-    e^(ik phi), a running product of e^(i phi) on the grid, is applied
-    once per diagonal.  Each grid point goes through the same
-    floating-point operations whether or not other points share its x,
-    so the sharing changes no bit of W.  Every update is made in place,
-    so the peak memory does not grow with the cutoff.
+    Row m - lo holds b^{m,N-m}_j = <j, N-j|U|m, N-m>, j = 0 .. N, for
+    m = lo .. min(N, d - 1), lo = max(0, N - d + 1): the rows a cutoff-d
+    rho reaches, which need no others.  U is the 50:50 splitter,
+    U a1^dag U^dag = (a1^dag + a2^dag)/sqrt2 and
+    U a2^dag U^dag = (a1^dag - a2^dag)/sqrt2, so each matrix is real and,
+    for N < d, orthogonal.  A row is the average of its step from
+    anti-diagonal N - 1 by a1^dag and its step by a2^dag, weighted m/N
+    and (N-m)/N:
+
+        b^{mn} = [sqrt(m) A+ b^{m-1,n} + sqrt(n) A- b^{m,n-1}] / (sqrt2 N),
+        (A+- c)_j = sqrt(j) c_{j-1} +- sqrt(N-j) c_j,
+
+    under which rounding barely grows: at N = 39 the matrix is orthogonal
+    to 6e-15, against 1e-11 when all a2^dag steps come before all a1^dag.
     """
+    sq = np.sqrt(np.arange(2 * d))
+    b = np.ones((1, 1))
+    yield b
+    for n in range(1, 2 * d - 1):
+        lo, hi = max(0, n - d + 1), min(n, d - 1)
+        ext = np.zeros((hi - lo + 2, n))  # rows m = lo - 1 .. hi of N - 1
+        ext[max(0, n - d) - lo + 1 :][: b.shape[0]] = b
+        m = np.arange(lo, hi + 1)[:, None]
+        u = ext[:-1] * (sq[m] / (math.sqrt(2.0) * n))
+        v = ext[1:] * (sq[n - m] / (math.sqrt(2.0) * n))
+        b = np.zeros((hi - lo + 1, n + 1))
+        b[:, 1:] = sq[1 : n + 1] * (u + v)
+        b[:, :-1] += sq[n:0:-1] * (u - v)
+        yield b
+
+
+def _wigner(rho: DensityMatrix, re_grid, im_grid) -> np.ndarray:
+    """W on the grid re_grid x im_grid, as the separable sum of ``wigner_map``."""
     if rho.layout.n_factors != 1:
         raise ValueError("the Wigner function requires a single bosonic mode")
-    mat = rho.mat
-    d = mat.shape[0]
-    beta = np.asarray(beta, dtype=complex)
-    x, inv = np.unique(4.0 * (beta.real**2 + beta.imag**2), return_inverse=True)
-    inv = inv.reshape(beta.shape)  # its shape varies across numpy versions
-    two_abs = np.sqrt(x)  # 2|beta|
-    unit = np.exp(1j * np.angle(beta))  # e^(i phi); 1 at beta = 0, where R_{0,k>0} = 0
-    phase = np.ones(beta.shape, dtype=complex)
-    head = (2.0 / math.pi) * np.exp(-x / 2.0)  # R_{0,k}
-    prev, cur, tmp, acc_re, acc_im = (np.empty(x.shape) for _ in range(5))
-    grid_re, grid_im = np.empty(beta.shape), np.empty(beta.shape)
-    w = np.zeros(beta.shape)
-    for k in range(d):
-        if k:
-            head *= two_abs
-            head *= 1.0 / math.sqrt(k)
-            phase *= unit
-        diag = np.diagonal(mat, k) * (2.0 if k else 1.0)
-        re, im = diag.real.tolist(), diag.imag.tolist()
-        np.copyto(cur, head)
-        prev.fill(0.0)
-        np.multiply(cur, re[0], out=acc_re)
-        np.multiply(cur, im[0], out=acc_im)
-        for m in range(d - k - 1):
-            # R_{m+1} = -[(2m+1+k-x) R_m + sqrt(m(m+k)) R_{m-1}] / sqrt((m+1)(m+1+k))
-            scale = -1.0 / math.sqrt((m + 1) * (m + 1 + k))
-            prev *= math.sqrt(m * (m + k)) * scale
-            np.subtract(2 * m + 1 + k, x, out=tmp)
-            tmp *= cur
-            tmp *= scale
-            prev += tmp
-            prev, cur = cur, prev
-            np.multiply(cur, re[m + 1], out=tmp)
-            acc_re += tmp
-            np.multiply(cur, im[m + 1], out=tmp)
-            acc_im += tmp
-        # Re[e^(ik phi) (acc_re + i acc_im)], per grid point
-        np.take(acc_re, inv, out=grid_re)
-        np.take(acc_im, inv, out=grid_im)
-        grid_re *= phase.real
-        grid_im *= phase.imag
-        w += grid_re
-        w -= grid_im
-    return w
+    d = rho.mat.shape[0]
+    # rho_mn with m <= n as given, the rest as conj(rho_nm); flipped, so
+    # that anti-diagonal N of rho is a diagonal
+    flip = (np.triu(rho.mat) + np.triu(rho.mat, 1).conj().T)[:, ::-1]
+    phase = (-1j) ** np.arange(2 * d - 1)
+    g = np.zeros((2 * d - 1, 2 * d - 1))
+    for n, b in enumerate(_splitter(d)):
+        j = np.arange(n + 1)
+        s = np.einsum("m,mj->j", np.diagonal(flip, d - 1 - n), b)
+        g[j, n - j] = (phase[n::-1] * s).real
+    g *= 2.0 / math.sqrt(math.pi)
+    # h_0 .. h_{2d-2} at 2 Re beta, then at 2 Im beta, one row per point
+    x = 2.0 * np.concatenate([re_grid, im_grid])
+    h = np.zeros((x.size, 2 * d - 1))
+    h[:, 0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    for k in range(2 * d - 2):
+        h[:, k + 1] = math.sqrt(2.0 / (k + 1)) * x * h[:, k] - math.sqrt(k / (k + 1)) * h[:, k - 1]
+    h_re, h_im = h[: len(re_grid)], h[len(re_grid) :]
+    # each W is one dot over j of two contiguous rows of length 2d - 1,
+    # whatever the shape of the grid: no BLAS, no dependence on neighbours
+    return np.einsum("ij,kj->ik", h_re, np.einsum("kl,jl->kj", h_im, g))
 
 
 def wigner_point(rho: DensityMatrix, alpha: complex) -> float:
     """W(alpha) = (2/pi) x displaced photon-number parity, in closed form.
 
-    The one-point case of ``wigner_map``, with the same recurrence.
+    The 1 x 1 grid of ``wigner_map``, through the same kernel; its cost
+    is the O(d^3) of building G.
     """
-    return float(_wigner(rho, alpha))
+    alpha = complex(alpha)
+    return float(_wigner(rho, [alpha.real], [alpha.imag])[0, 0])
 
 
 def wigner_map(rho: DensityMatrix, re_grid, im_grid) -> WignerMap:
-    """W over the whole Re(alpha) x Im(alpha) grid in one vectorized pass.
+    """W over the whole Re(alpha) x Im(alpha) grid, as a separable sum.
 
-    W = sum_{m<=n} (2 - delta_mn) Re[rho_mn W_mn(beta)] with the
-    displaced-parity matrix elements (Cahill & Glauber, Phys. Rev. 177,
-    1857, 1969)
+    With h_j the orthonormal Hermite functions,
 
-        W_mn = (2/pi) (-1)^m sqrt(m!/n!) (2 beta)^(n-m) e^(-2|beta|^2)
-               L_m^(n-m)(4|beta|^2).
+        W(beta) = sum_{j,l} G_jl h_j(2 Re beta) h_l(2 Im beta),
+        G_{j,N-j} = (2/sqrt(pi)) Re[(-i)^(N-j) sum_m rho_{m,N-m} b^{m,N-m}_j],
 
-    With x = 4|beta|^2 and beta = |beta| e^(i phi), the element on
-    diagonal k = n - m is W_{m,m+k} = e^(ik phi) R_{m,k}(x), with R real:
-
-        W = sum_k (2 - delta_k0) Re[e^(ik phi) sum_m rho_{m,m+k} R_{m,k}(x)],
-        R_{0,k} = (2/pi) e^(-x/2) (2|beta|)^k / sqrt(k!),
-        R_{m+1,k} = -[(2m+1+k-x) R_{m,k} + sqrt(m(m+k)) R_{m-1,k}]
-                    / sqrt((m+1)(m+1+k)),
-
-    the iterative scheme of QuTiP's ``wigner`` (Johansson, Nation & Nori,
-    CPC 184, 1234, 2013) with the factorials folded into each step, run
-    on real arrays of the distinct x of the grid only: mirror points
-    beta, beta*, -beta, -beta* and any other points of equal |beta|
-    share one R.  For a cutoff d the map costs O(d^2 #distinct x) for the
-    recurrence and O(d #grid) for the phases.  e^(ik phi) is a running
-    product of e^(i phi), so beta = 0, where R_{0,k>0} = 0, stays exact.
-    Every W_mn is a matrix element of (2/pi) D(beta) P D(beta)^dag (P the
-    parity), so |R_{m,k}| = |W_{m,m+k}| <= 2/pi: nothing overflows.  The
-    map is exact for the truncated rho; no padding is needed.
+    for j, l <= 2d - 2 and a cutoff d, exactly for the truncated rho:
+    the Wigner transform of |m><n| turns h_m(x) h_n(y) by 45 degrees, a
+    50:50 beam splitter with coefficients b^{mn}_j = <j, N-j|U|m, n>,
+    N = m + n, and then takes a Fourier transform that only multiplies
+    h_l by (-i)^l (Wunsche, J. Phys. A 31, 8267, 1998).  Like the
+    Laguerre sum over m <= n of the displaced-parity elements (Cahill &
+    Glauber, Phys. Rev. 177, 1857, 1969) it reads rho_mn for m <= n
+    only, and takes rho_nm as conj(rho_mn).  G is built once per rho, one
+    anti-diagonal N at a time from the previous one by the symmetric
+    step of ``_splitter``, and contracted with rho's anti-diagonal as
+    soon as it is formed.  h_0 .. h_{2d-2} are tabulated at 2 re_grid and
+    2 im_grid by their three-term recurrence, and W = H_re^T (G H_im) by
+    two ``np.einsum`` contractions, which make no BLAS call.  The map
+    costs O(d^3 + d (n_re + n_im) + d^2 n_im + d n_re n_im).  Nothing
+    overflows: each b^{mn} is a unit vector and |h_j| <= pi^(-1/4)
+    everywhere.  Far from the origin h_0, and with it each h_j, comes
+    out 0 or subnormal, an absolute error far below W's rounding.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
     for g, name in ((re_grid, "re_grid"), (im_grid, "im_grid")):
         if g.size > 1 and np.any(np.diff(g) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-    beta = re_grid[:, None] + 1j * im_grid[None, :]
-    return WignerMap(re_grid, im_grid, _wigner(rho, beta))
+    return WignerMap(re_grid, im_grid, _wigner(rho, re_grid, im_grid))
 
 
 def derotate(rho: DensityMatrix, theta: float) -> DensityMatrix:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from catbath import dynamics
+from catbath import dynamics, tomography
 from catbath.hilbert import (
     DensityMatrix,
     SpaceLayout,
@@ -338,3 +338,52 @@ def test_wigner_map_shares_radii_bitwise(seed, dim):
     mirrored = wigner_map(conj, grid, grid).values[:, ::-1]
     assert np.max(np.abs(wm.values - mirrored)) < 1e-14
     assert np.max(np.abs(wm.values - wm.values[:, ::-1])) > 1e-3
+
+
+def test_wigner_fock_states_match_laguerre_closed_form():
+    # W of |n> is (2/pi) (-1)^n e^(-2|beta|^2) L_n(4|beta|^2); the grid
+    # holds |beta| = 0, 1 (1 and 0.6+0.8i), 3 (-3 and 3i) and 5 (-5, 3-4i
+    # and -3-4i), among other points
+    re = np.array([-5.0, -3.0, 0.0, 0.6, 1.0, 3.0])
+    im = np.array([-4.0, 0.0, 0.8, 3.0])
+    beta2 = re[:, None] ** 2 + im[None, :] ** 2
+    for r in (0.0, 1.0, 3.0, 5.0):
+        assert np.any(np.isclose(beta2, r**2, rtol=0, atol=1e-12))
+    for n in range(40):
+        ref = TWO_OVER_PI * (-1) ** n * np.exp(-2.0 * beta2) * special.eval_laguerre(n, 4.0 * beta2)
+        assert np.max(np.abs(wigner_map(fock_density(n, 40), re, im).values - ref)) < 1e-12
+
+
+def test_wigner_splitter_anti_diagonals_are_orthogonal():
+    # below the cutoff each anti-diagonal holds every m = 0..N, and
+    # [<j, N-j|U|m, N-m>] is a real orthogonal matrix
+    for n, b in enumerate(tomography._splitter(40)):
+        if n < 40:
+            assert b.shape == (n + 1, n + 1)
+            assert np.max(np.abs(b @ b.T - np.eye(n + 1))) < 1e-13
+
+
+def test_wigner_reads_the_upper_triangle_of_a_non_hermitian_rho():
+    # rho_mn with m > n is taken as conj(rho_nm), as the Laguerre sum over
+    # m <= n does
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho = DensityMatrix(SpaceLayout((12,)), mat / 30.0)
+    assert np.max(np.abs(mat - mat.conj().T)) > 1.0
+    re = np.array([-1.2, 0.0, 0.7])
+    im = np.array([-0.9, 0.3, 1.6])
+    wm = wigner_map(rho, re, im)
+    for i, x in enumerate(re):
+        for j, y in enumerate(im):
+            assert abs(wm.values[i, j] - laguerre_wigner(mat / 30.0, complex(x, y))) < 1e-12
+
+
+def test_wigner_point_is_its_value_in_any_map():
+    # each value is one einsum dot of length 2d - 1, whatever the shape
+    # of the grid: a point alone rounds as it does inside a map
+    rho = random_density(20, 40)
+    re = np.array([-2.1, -0.7, 0.0, 1.4, 4.5])
+    im = np.array([-1.6, 0.0, 0.9, 2.5])
+    wm = wigner_map(rho, re, im)
+    points = [[wigner_point(rho, complex(a, b)) for b in im] for a in re]
+    assert np.array_equal(wm.values, np.array(points))
