@@ -5,8 +5,8 @@ dump its Wigner function.
 Prints the per-step swap angles, reports the fidelity of the forward
 synthesis against the truncated target, then rasterizes the Wigner map
 of the finished state (two coherent lobes plus the interference
-fringes around the midpoint).  The cat amplitude, the ancilla drive and
-the Wigner grid come from the device YAML.
+fringes around the midpoint).  The cat amplitude, the ancilla drive,
+the Fock cutoff and the Wigner grid come from the device YAML.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from catbath import catprep, tomography
+from catbath.cli import CliError, _require_synthesis_cutoff
 from catbath.config import MHZ, ConfigError, load_config
 from catbath.hilbert import StateVector, TruncationWarning, density_from_state, fidelity
 
@@ -23,19 +24,13 @@ from catbath.hilbert import StateVector, TruncationWarning, density_from_state, 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default="configs/device.yaml")
-    ap.add_argument("--cutoff", type=int, default=40)
     ap.add_argument("--out", default="wigner_cat.csv")
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+        _require_synthesis_cutoff(cfg)
+    except (ConfigError, CliError) as exc:
         raise SystemExit(f"error: {exc}") from None
-    levels = catprep.N_STAR + 1
-    if args.cutoff < levels:
-        raise SystemExit(
-            f"error: --cutoff: {args.cutoff} is below the {levels} Fock levels "
-            "the cat synthesis needs"
-        )
 
     alpha = cfg.scenario.alpha
     spec = catprep.CatSpec(alpha=alpha)
@@ -54,7 +49,7 @@ def main(argv=None):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        cat = catprep.make_amplitude_cat(spec, args.cutoff, xi)
+        cat = catprep.make_amplitude_cat(spec, cfg.cutoff, xi)
         wm = tomography.wigner_map(
             density_from_state(cat), *cfg.scenario.wigner_grid.grids()
         )

@@ -19,8 +19,10 @@ while ``coh_factor_abs`` and ``distinguishability`` come from the
 semiclassical ``dynamics.coherence_factor``, with D = sqrt(1 - |coh|^2),
 the trace distance of the pure reservoir records.  ``wigner`` maps the
 synthesized cat; ``wigner --time`` and the ``decohere --wigner-times``
-snapshots map the field of the branch model, which starts from the
-ideal cat N+(|0> + |alpha>).
+snapshots map the field of the branch model.  Both photon-resolved
+kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
+and |0, G> is their level 0.  ``scripts/cat_synthesis_demo.py`` reads
+its cutoff from the YAML and checks it as ``prep-cat`` does.
 """
 
 from __future__ import annotations

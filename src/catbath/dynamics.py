@@ -12,8 +12,9 @@ sqrt(n lambda_k^2 + delta_k^2).  It is the two-level exchange step of
 hilbert, which also gives the swaps of catprep and the Floquet map of
 floquet.
 
-- analytic_joint_state resolves the branch photon number by photon
+- analytic_joint_state evolves the cat photon number by photon
   number, and each excited qubit shifts the field down by one photon.
+  |0, G> is level 0 of that map, which leaves it fixed.
   This carries the back-action on the field (Gea-Banacloche, PRL 65,
   3385, 1990).  It is exact at N = 1 and approximate for N >= 2, since
   it ignores that a photon taken by one qubit lowers the rate the
@@ -199,16 +200,23 @@ def branch_states(t: float, spec: ReservoirSpec) -> list[DensityMatrix]:
     ]
 
 
+def _cat_amplitudes(alpha: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fock amplitudes of the ideal cat N+(|0> + |alpha>) and of |alpha>, at `cutoff`.
+
+    Both come from one coherent_state call, so a truncated |alpha> warns once.
+    """
+    coh = coherent_state(alpha, cutoff).amps
+    cat = coh.copy()
+    cat[0] += 1.0
+    cat /= np.linalg.norm(cat)
+    return cat, coh
+
+
 def cat_with_ground_qubits(alpha: complex, spec: ReservoirSpec, cutoff: int) -> StateVector:
     """Initial state N+(|0> + |alpha>) (x) |g...g> on the dynamics layout."""
     layout = _layout(spec, cutoff)
-    vac = np.zeros(cutoff, dtype=complex)
-    vac[0] = 1.0
-    cat = vac + coherent_state(alpha, cutoff).amps
-    cat /= np.linalg.norm(cat)
     amps = np.zeros(layout.dim, dtype=complex)
-    stride = 2 ** spec.n_qubits
-    amps[::stride] = cat  # qubits all in |g> (fast indices all zero)
+    amps[:: 2**spec.n_qubits] = _cat_amplitudes(alpha, cutoff)[0]  # qubits all in |g>
     return StateVector(layout, amps)
 
 
@@ -227,13 +235,14 @@ def analytic_joint_state(
 ) -> StateVector:
     """Branch-model joint state of field and reservoir, resolved by photon number.
 
-    Each Fock component |n> of the |alpha> branch drives every qubit k
-    at its own Rabi rate Omega_k(n) = sqrt(n lambda_k^2 + delta_k^2) and
-    picks up the phase exp(-i delta_k t/2) relative to the stationary
-    vacuum branch.  A qubit pattern b with |b| excited qubits took |b|
-    photons, so its amplitude sits at field level n - |b| (the photon
-    shift); patterns with |b| > n are dropped.  The state is normalized
-    numerically, which includes the |<0|alpha>| overlap.
+    Each Fock component |n> of the ideal cat drives every qubit k at
+    its own Rabi rate Omega_k(n) = sqrt(n lambda_k^2 + delta_k^2) and
+    picks up the phase exp(-i delta_k t/2).  At n = 0, Omega_k(0) =
+    |delta_k| and c_g,k(0) exp(-i delta_k t/2) = 1, so the map leaves
+    |0, G> fixed and the vacuum branch needs no term of its own.  A
+    qubit pattern b with |b| excited qubits took |b| photons, so its
+    amplitude sits at field level n - |b| (the photon shift); patterns
+    with |b| > n are dropped.  The state is normalized numerically.
 
     Exact at N = 1.  For N >= 2 it is approximate: each qubit sees the
     rate of the initial photon number, ignoring that a photon taken by
@@ -247,8 +256,7 @@ def analytic_joint_state(
     n_q = spec.n_qubits
     # n_q zero rows past the cutoff let the photon shift read zeros
     rows = cutoff + n_q
-    coh = np.zeros(rows, dtype=complex)
-    coh[:cutoff] = coherent_state(alpha, cutoff).amps
+    cat, coh = (np.append(a, np.zeros(n_q)) for a in _cat_amplitudes(alpha, cutoff))
     c_g, c_e = _fock_rabi_amplitudes(
         np.arange(rows, dtype=float),
         np.asarray(spec.couplings)[:, None],
@@ -258,7 +266,7 @@ def analytic_joint_state(
     _warn_if_strained(float(np.sum(np.abs(c_e) ** 2 @ np.abs(coh) ** 2)), spec.n_mean)
     # (rows, 2^N) amplitudes of |n> (x) |b>; qubits are prepended from the
     # last, so qubit 0 ends up the slowest index and the inner loops long
-    branch = (np.exp(-0.5j * sum(spec.detunings) * t) * coh)[:, None]
+    branch = (np.exp(-0.5j * sum(spec.detunings) * t) * cat)[:, None]
     excited = np.zeros(1, dtype=int)  # |b| of each column
     for pair in np.stack([c_g, c_e], axis=-1)[::-1]:
         branch = (pair[:, :, None] * branch[:, None, :]).reshape(rows, -1)
@@ -267,7 +275,6 @@ def analytic_joint_state(
     width = 2**n_q
     src = (np.arange(cutoff)[:, None] + excited) * width + np.arange(width)
     amps = branch.ravel().take(src.ravel())
-    amps[0] += 1.0  # vacuum branch |0> (x)_k |g>
     # an elementwise sum, not a BLAS dot, so no thread count moves the digits
     amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))
     return StateVector(layout, amps)
@@ -293,23 +300,22 @@ def _coefficient_sums(w_g: np.ndarray, w_e: np.ndarray) -> np.ndarray:
 def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: int) -> np.ndarray:
     """Qubit 0's reduced state of analytic_joint_state at each time, shape (T, 2, 2).
 
-    The 2^N branch is never formed.  Its amplitude at field level m for
-    pattern b is phi coh_n prod_k p_k(n, b_k) with n = m + |b|, where
-    p_k(n, 0) = c_g,k(n), p_k(n, 1) = c_e,k(n) and phi = exp(-i sum_k
-    delta_k t/2), so contracting qubits 1..N-1 and the field needs only
+    The 2^N joint state is never formed.  Its amplitude at field level
+    m for pattern b is phi cat_n prod_k p_k(n, b_k) with n = m + |b|,
+    where cat_n is the ideal cat's Fock amplitude, p_k(n, 0) = c_g,k(n),
+    p_k(n, 1) = c_e,k(n) and phi = exp(-i sum_k delta_k t/2) is a global
+    phase.  The vacuum branch |0, G> is the level n = 0, where c_e,k(0)
+    = 0.  Contracting qubits 1..N-1 and the field needs only
     E_n[w_g, w_e], the sum of the coefficients of z^0..z^n of
     prod_{k>=1} (w_g,k + z w_e,k), i.e. the sum over patterns b' of the
     other qubits with |b'| <= n:
 
-        rho_00 = sum_n |coh_n c_g0(n)|^2 E_n[|c_g(n)|^2, |c_e(n)|^2]
-        rho_11 = sum_n |coh_n c_e0(n)|^2 E_(n-1)[|c_g(n)|^2, |c_e(n)|^2]
-        rho_01 = sum_n coh_n c_g0(n) (coh_(n+1) c_e0(n+1))^*
+        rho_00 = sum_n |cat_n c_g0(n)|^2 E_n[|c_g(n)|^2, |c_e(n)|^2]
+        rho_11 = sum_n |cat_n c_e0(n)|^2 E_(n-1)[|c_g(n)|^2, |c_e(n)|^2]
+        rho_01 = sum_n cat_n c_g0(n) (cat_(n+1) c_e0(n+1))^*
                  E_n[c_g(n) c_g(n+1)^*, c_e(n) c_e(n+1)^*]
 
-    The vacuum branch adds 1 + 2 Re a_0 to rho_00, with a_0 = phi coh_0
-    prod_k c_g,k(0) the |alpha> branch's amplitude on |0, G>, and the
-    conjugate of phi coh_1 c_e0(1) prod_(k>=1) c_g,k(1) to rho_01; the
-    trace normalizes.
+    and the trace normalizes.
 
     The truncation |b'| <= n binds only below n = N - 1: a pattern of
     the N - 1 other qubits has at most N - 1 excitations, so for
@@ -325,10 +331,11 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
     in order.
     """
     times = _nonnegative_times(times)
-    # coh_n with coh_cutoff = 0, so that the n + 1 terms read a zero
-    coh = np.append(coherent_state(alpha, cutoff).amps, 0.0)
-    pop = np.abs(coh[:, None]) ** 2
-    cross_coh = (coh[:-1] * coh[1:].conj())[:, None]
+    # a zero at level cutoff, so that the n + 1 terms read a zero; the
+    # leak to the qubits is that of the |alpha> branch alone
+    cat, coh = (np.append(a, 0.0)[:, None] for a in _cat_amplitudes(alpha, cutoff))
+    pop, coh_pop = np.abs(cat) ** 2, np.abs(coh) ** 2
+    cross = cat[:-1] * cat[1:].conj()
     levels = np.arange(cutoff + 1, dtype=float)[:, None]
     lam = np.asarray(spec.couplings)[:, None, None]
     delta = np.asarray(spec.detunings)[:, None, None]
@@ -342,7 +349,7 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
         t = times[start : start + _TIME_CHUNK]
         # (N, cutoff + 1, chunk) amplitudes of every qubit, level and time
         c_g, c_e = _fock_rabi_amplitudes(levels, lam, delta, t)
-        leaks[start : start + t.size] = np.sum(np.abs(c_e) ** 2 * pop, axis=(0, 1))
+        leaks[start : start + t.size] = np.sum(np.abs(c_e) ** 2 * coh_pop, axis=(0, 1))
         # weights of qubits 1..N-1, (N-1, cutoff, chunk): the diagonal
         # pair at n, and the cross pair between n and n + 1
         g, e = c_g[1:], c_e[1:]
@@ -359,12 +366,7 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
         g0, e0 = c_g[0], c_e[0]
         rho00 = np.sum(pop[:-1] * np.abs(g0[:-1]) ** 2 * e_diag, axis=0)
         rho11 = np.sum(pop[:-1] * np.abs(e0[:-1]) ** 2 * e_prev, axis=0)
-        rho01 = np.sum(cross_coh * g0[:-1] * e0[1:].conj() * e_cross, axis=0)
-        # vacuum branch |0, G>
-        phi = np.exp(-0.5j * sum(spec.detunings) * t)
-        a0 = phi * coh[0] * np.prod(c_g[:, 0], axis=0)
-        rho00 += 1.0 + 2.0 * a0.real
-        rho01 += np.conj(phi * coh[1] * e0[1] * np.prod(g[:, 1], axis=0))
+        rho01 = np.sum(cross * g0[:-1] * e0[1:].conj() * e_cross, axis=0)
         trace = rho00 + rho11
         block = states[start : start + t.size]
         block[:, 0, 0] = rho00 / trace

@@ -391,11 +391,14 @@ def test_cat_synthesis_demo_rejects_cutoff_below_its_levels(tmp_path):
     spec = importlib.util.spec_from_file_location("cat_synthesis_demo", script)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 5})
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(data))
     out = tmp_path / "w.csv"
     with pytest.raises(SystemExit) as exc:
-        demo.main(["--config", str(DEVICE_YAML), "--cutoff", "5", "--out", str(out)])
+        demo.main(["--config", str(path), "--out", str(out)])
     # a string exit code is printed to stderr and exits 1
-    assert str(exc.value.code).startswith("error: --cutoff: 5 ")
+    assert str(exc.value.code).startswith("error: resonator.cutoff: 5 ")
     assert "7 Fock levels" in str(exc.value.code)
     assert not out.exists()
 

@@ -558,6 +558,21 @@ def test_analytic_qubit_states_reject_bad_time(bad):
         analytic_qubit_states(times, ALPHA, table_spec(2), 14)
 
 
+def test_vacuum_is_level_0_of_the_photon_resolved_map():
+    # alpha = 0 leaves only |0, G>, and the map at n = 0 keeps it fixed:
+    # c_g,k(0) exp(-i delta_k t/2) = 1 for each qubit, so the phase must
+    # carry every qubit's detuning for the amplitude to be 1, not a phase
+    lams = tuple(2.0 * lh * MHZ for lh in LAMBDA_HALF_TABLE[:3])
+    spec = ReservoirSpec(lams, tuple(np.array([-2.5, 0.7, 3.0]) * MHZ), 0.0)
+    times = np.array([0.0, 7.3, 41.0, 200.0]) * NS
+    for t in times:
+        amps = analytic_joint_state(t, 0.0, spec, 8).amps
+        assert abs(amps[0] - 1.0) < 1e-15
+        assert np.all(amps[1:] == 0.0)
+    states = analytic_qubit_states(times, 0.0, spec, 8)
+    assert np.max(np.abs(states - np.diag([1.0, 0.0]))) < 1e-15
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_engine_rejects_non_finite_time(t):
     spec = table_spec(2)
