@@ -10,7 +10,8 @@ u_b the 2^N product eigenvalues and eigenvectors of rho and
 g_b = |<u_b|G>|^2, mu is the root below min(p) of the secular equation
 sum_b g_b / (p_b - mu) = 1 (Golub, SIAM Rev. 15, 318, 1973).  It costs
 O(2^N) per bisection step and forms no 2^N x 2^N matrix; for pure
-branches it reduces to D = sqrt(1 - prod_k <g|rho_k|g>).
+branches it reduces to D = sqrt(1 - prod_k <g|rho_k|g>).  The 2^N
+vectors cap N at _MAX_BRANCHES = 20, where the call takes about 36 MiB.
 
 Per-qubit branch states are recovered from tomography via
 2 rho_k - |g><g| followed by a positive-semidefinite projection (clip
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _GG = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+_MAX_BRANCHES = 20
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -100,12 +102,15 @@ def reservoir_distinguishability(branches: list[DensityMatrix]) -> float:
     Solves the secular equation of the module docstring by bisection on
     the bracket [-1, min(p, 0)], which holds the root for any physical
     product state.  Each branch must be a valid single-qubit density
-    matrix; a branch that is not raises ValueError naming its qubit.
+    matrix; a branch that is not raises ValueError naming its qubit, and
+    more than _MAX_BRANCHES branches raise ValueError.
     Returns exactly 0 for all-ground branches and exactly 1 when some
     branch is orthogonal to |g>.
     """
     if not branches:
         raise ValueError("need at least one branch state")
+    if len(branches) > _MAX_BRANCHES:
+        raise ValueError(f"{len(branches)} branches exceed the limit of {_MAX_BRANCHES}")
     for k, rk in enumerate(branches):
         if rk.layout.dims != (2,):
             raise ValueError(f"qubit {k}: each branch must be a single-qubit state")

@@ -194,4 +194,4 @@ def make_amplitude_cat(spec: CatSpec, cutoff: int, xi: float = 1.0) -> StateVect
     padded[: boson.size] = boson
     padded /= np.linalg.norm(padded)
     disp = displacement(complex(spec.alpha) / 2.0, cutoff)
-    return StateVector(SpaceLayout((cutoff,)), disp.mat @ padded)
+    return StateVector(SpaceLayout((cutoff,)), disp @ padded)

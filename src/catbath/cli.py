@@ -279,6 +279,8 @@ def _cmd_fit_rabi(args) -> list[str]:
     pe = np.array([_float_field(r, "pe", args.data) for r in rows])
     if args.noise < 0:
         raise CliError("--noise must be nonnegative")
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
     if args.xi_mhz <= 0:
         raise CliError("--xi-mhz must be positive")
     if not 0 <= args.n_max <= tomography.N_MAX_LIMIT:

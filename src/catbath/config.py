@@ -1,7 +1,8 @@
 """Device configuration: YAML ingestion, validation, unit conversion.
 
-Files carry linear frequencies in MHz and times in ns; everything is
-converted to angular rad/s and seconds on load.  Validation errors
+Files carry linear frequencies in MHz and times in ns, and so do the
+``*_MHz`` and ``*_ns`` fields; callers convert with MHZ (to rad/s) and
+NS (to s), as QubitConfig.floquet_params() does.  Validation errors
 name the offending field by its path (e.g. ``scenario.dt_ns``).
 """
 

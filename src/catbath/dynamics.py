@@ -137,7 +137,7 @@ def reservoir_hamiltonian(spec: ReservoirSpec, cutoff: int) -> OperatorMatrix:
             f"dense Hamiltonian dimension {layout.dim} exceeds {MAX_DENSE_DIM}; "
             "use evolve_excitation_blocks"
         )
-    a = annihilation(cutoff).mat
+    a = annihilation(cutoff)
     pe = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     seg = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     eye2 = np.eye(2)

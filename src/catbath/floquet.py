@@ -129,7 +129,7 @@ def full_floquet_hamiltonian(p: FloquetParams, t: float, cutoff: int) -> Operato
     H'(t) = xi exp(-i mu sin(nu t)) exp(i nu t) a^dag |g><e| + h.c.
           + delta |e><e|
     """
-    a = annihilation(cutoff).mat
+    a = annihilation(cutoff)
     eye_b = np.eye(cutoff)
     pe = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |e><e|
     sge = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|

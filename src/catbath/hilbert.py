@@ -4,7 +4,10 @@ States and operators live on a :class:`SpaceLayout`, an ordered tensor
 product of one (optional) bosonic mode and a register of two-level
 systems.  Factor 0 is the slowest-varying index in the flattened
 amplitude vector; this convention is fixed so that results are
-bit-comparable across runs.
+bit-comparable across runs.  OperatorMatrix is the Hamiltonian that
+evolve and evolve_td (which steps through evolve) check against the
+state's layout; DensityMatrix adds validate().  annihilation and
+displacement return plain complex arrays.
 
 The closed forms the other modules share have their one copy here:
 the truncated coherent amplitudes, the two-level exchange step of the
@@ -114,35 +117,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Complex Hermitian matrix over a SpaceLayout.
-
-    Physicality (hermiticity, unit trace, positivity) is checked by
-    :meth:`validate`; raw linear reconstructions may legitimately violate
-    positivity and are handled by the analysis module.
-    """
-
-    layout: SpaceLayout
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        d = self.layout.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match layout dim {d}")
-        object.__setattr__(self, "mat", mat)
-
-    def validate(self):
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > _TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(self.mat).min() < _EIG_FLOOR:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        return self
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
     """Dense complex square matrix tagged with its SpaceLayout."""
 
@@ -157,6 +131,24 @@ class OperatorMatrix:
         object.__setattr__(self, "mat", mat)
 
 
+class DensityMatrix(OperatorMatrix):
+    """Complex Hermitian matrix over a SpaceLayout.
+
+    Physicality (hermiticity, unit trace, positivity) is checked by
+    :meth:`validate`; raw linear reconstructions may legitimately violate
+    positivity and are handled by the analysis module.
+    """
+
+    def validate(self):
+        if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(self.mat).real - 1.0) > _TRACE_TOL:
+            raise ValueError("density matrix trace differs from 1")
+        if np.linalg.eigvalsh(self.mat).min() < _EIG_FLOOR:
+            raise ValueError("density matrix has a significantly negative eigenvalue")
+        return self
+
+
 def density_from_state(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps.conj()))
 
@@ -167,15 +159,14 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def annihilation(cutoff: int) -> OperatorMatrix:
-    """Bosonic ladder operator a on a truncated Fock space.
+def annihilation(cutoff: int) -> np.ndarray:
+    """Bosonic ladder operator a on a truncated Fock space, as a complex array.
 
     <n-1|a|n> = sqrt(n) for 1 <= n < cutoff.
     """
     if cutoff < 1:
         raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
-    mat = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
-    return OperatorMatrix(SpaceLayout((cutoff,)), mat)
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -211,15 +202,15 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     return StateVector(SpaceLayout((cutoff,)), amps / np.linalg.norm(amps))
 
 
-def displacement(beta: complex, cutoff: int) -> OperatorMatrix:
-    """Displacement operator D(beta) = exp(beta a^dag - beta^* a).
+def displacement(beta: complex, cutoff: int) -> np.ndarray:
+    """Displacement operator D(beta) = exp(beta a^dag - beta^* a), as a complex array.
 
     Computed by exponentiating the Hermitian generator i(beta a^dag -
     beta^* a).  Reports (via TruncationWarning) when the cutoff is too
     small for D(beta)|0> to reproduce the truncated amplitudes of the
     coherent state |beta> to _DISPLACEMENT_TOL.
     """
-    a = annihilation(cutoff).mat
+    a = annihilation(cutoff)
     gen = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
     mat = _propagate(*np.linalg.eigh(gen), 1.0)
     err = np.linalg.norm(mat[:, 0] - _coherent_amplitudes(beta, cutoff))
@@ -229,13 +220,7 @@ def displacement(beta: complex, cutoff: int) -> OperatorMatrix:
             f"{cutoff}; increase the cutoff",
             TruncationWarning,
         )
-    return OperatorMatrix(SpaceLayout((cutoff,)), mat)
-
-
-def _require_hermitian(H: OperatorMatrix):
-    scale = max(1.0, float(np.max(np.abs(H.mat))))
-    if np.max(np.abs(H.mat - H.mat.conj().T)) > 1e-9 * scale:
-        raise ValueError("Hamiltonian is not Hermitian")
+    return mat
 
 
 def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = None):
@@ -398,7 +383,9 @@ def evolve(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector:
     benchmark's checks.
     """
     _check_same_layout(H, psi)
-    _require_hermitian(H)
+    scale = max(1.0, float(np.max(np.abs(H.mat))))
+    if np.max(np.abs(H.mat - H.mat.conj().T)) > 1e-9 * scale:
+        raise ValueError("Hamiltonian is not Hermitian")
     return StateVector(psi.layout, _propagate(*np.linalg.eigh(H.mat), t, psi.amps))
 
 
@@ -406,20 +393,18 @@ def evolve_td(h_of_t, psi: StateVector, t_end: float, dt: float) -> StateVector:
     """Time-ordered propagation with midpoint-rule step unitaries.
 
     `h_of_t(t)` must return the instantaneous Hamiltonian as an
-    OperatorMatrix on the state's layout.  The step error is O(dt^2)
-    per unit time.  No command calls it: it is the dense oracle of the
-    closed-form steps in floquet.swap_frequency.
+    OperatorMatrix on the state's layout; each step is one call to
+    evolve, which checks it.  The step error is O(dt^2) per unit time.
+    No command calls it: it is the dense oracle of the closed-form
+    steps in floquet.swap_frequency.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, int(round(t_end / dt)))
     step = t_end / n_steps
-    amps = psi.amps.copy()
     for k in range(n_steps):
-        H = h_of_t((k + 0.5) * step)
-        _require_hermitian(H)
-        amps = _propagate(*np.linalg.eigh(H.mat), step, amps)
-    return StateVector(psi.layout, amps)
+        psi = evolve(h_of_t((k + 0.5) * step), psi, step)
+    return psi
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -172,6 +172,12 @@ def test_reservoir_distinguishability_edges():
         reservoir_distinguishability([])
 
 
+def test_distinguishability_rejects_more_than_20_branches():
+    # 2^21 product eigenvalues would be formed; the cap stops it first
+    with pytest.raises(ValueError, match="21 branches exceed the limit of 20"):
+        reservoir_distinguishability([DensityMatrix(Q, GG)] * 21)
+
+
 def _kron_oracle(branches) -> float:
     """Dense trace distance between the kron product and |g...g><g...g|."""
     layout = SpaceLayout((2,) * len(branches))

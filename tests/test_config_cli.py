@@ -266,6 +266,19 @@ def test_disting_rejects_unphysical_branch(tmp_path, capsys):
     assert "qubit 1" in captured.err and "negative eigenvalue" in captured.err
 
 
+def test_disting_rejects_more_than_20_rows(tmp_path, capsys):
+    path = tmp_path / "branches.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["qubit", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"])
+        for k in range(21):
+            w.writerow([f"R{k}", 1, 0, 0, 0, 0, 0, 0, 0])
+    assert main(["disting", "--branches", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "limit of 20" in captured.err
+
+
 def test_crosstalk_cli(tmp_path):
     coeffs = tmp_path / "c.csv"
     targets = tmp_path / "t.csv"
@@ -488,8 +501,10 @@ def test_fit_rabi_rejects_negative_noise(tmp_path):
         ("--n-max", "-1", 240),
         ("--n-max", "21", 240),
         ("--n-max", "4", 3),  # needs n_max + 2 samples
+        ("--seed", "-1", 240),
     ],
-    ids=["--xi-mhz-0", "--xi-mhz--19.8", "--n-max--1", "--n-max-21", "--n-max-4-3-samples"],
+    ids=["--xi-mhz-0", "--xi-mhz--19.8", "--n-max--1", "--n-max-21", "--n-max-4-3-samples",
+         "--seed--1"],
 )
 def test_fit_rabi_rejects_out_of_range_flag(tmp_path, capsys, flag, value, samples):
     trace = synthesize_rabi(np.array([0.2, 0.5, 0.3]), 19.8 * MHZ,

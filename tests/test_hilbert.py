@@ -41,17 +41,17 @@ def test_layout_index_is_row_major():
 
 
 def test_annihilation_matrix_elements():
-    assert np.allclose(annihilation(2).mat, [[0, 1], [0, 0]])
-    a3 = annihilation(3).mat
+    assert np.allclose(annihilation(2), [[0, 1], [0, 0]])
+    a3 = annihilation(3)
     assert a3[1, 2] == pytest.approx(math.sqrt(2))
-    a4 = annihilation(4).mat
+    a4 = annihilation(4)
     assert np.allclose(a4.conj().T @ a4, np.diag([0, 1, 2, 3]))
     with pytest.raises(ValueError):
         annihilation(0)
 
 
 def test_ladder_commutator_below_truncation():
-    a = annihilation(12).mat
+    a = annihilation(12)
     comm = a @ a.conj().T - a.conj().T @ a
     assert np.max(np.abs(comm[:11, :11] - np.eye(12)[:11, :11])) < 1e-12
 
@@ -84,16 +84,16 @@ def test_coherent_state_tail_oracle():
 
 
 def test_displacement_identity_and_action():
-    assert np.allclose(displacement(0.0, 8).mat, np.eye(8))
+    assert np.allclose(displacement(0.0, 8), np.eye(8))
     d = displacement(1.65, 40)
     target = coherent_state(1.65, 40)
     vac = np.zeros(40)
     vac[0] = 1.0
-    assert abs(np.vdot(d.mat @ vac, target.amps)) ** 2 > 1 - 1e-8
+    assert abs(np.vdot(d @ vac, target.amps)) ** 2 > 1 - 1e-8
 
 
 def test_displacement_unitary_and_truncation_report():
-    d = displacement(1.2 + 0.4j, 30).mat
+    d = displacement(1.2 + 0.4j, 30)
     assert np.max(np.abs(d.conj().T @ d - np.eye(30))) < 1e-8
     with pytest.warns(TruncationWarning):
         displacement(3.0, 6)
@@ -111,7 +111,7 @@ def test_evolve_identity_rabi_and_jc_block():
     # resonant JC from |e,0>: P_g(t) = sin^2(xi t) in the one-excitation block
     xi = 2 * math.pi * 19.6e6
     jc = SpaceLayout((2, 3))
-    a = annihilation(3).mat
+    a = annihilation(3)
     sp = np.array([[0, 0], [1, 0]], dtype=complex)
     term = xi * np.kron(sp, a)
     hjc = OperatorMatrix(jc, term + term.conj().T)
@@ -150,6 +150,14 @@ def test_evolve_td_matches_constant_and_is_second_order():
         for dt in (8e-10, 4e-10)
     ]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.15)
+
+
+def test_evolve_td_rejects_layout_mismatch():
+    # same dimension 6, factors swapped: qubit (x) boson against boson (x) qubit
+    h = OperatorMatrix(SpaceLayout((3, 2)), np.eye(6, dtype=complex))
+    psi = StateVector(SpaceLayout((2, 3)), np.eye(1, 6)[0])
+    with pytest.raises(ValueError, match="layout mismatch"):
+        evolve_td(lambda t: h, psi, 1e-9, 1e-10)
 
 
 def test_partial_trace_product_and_bell(rng):
