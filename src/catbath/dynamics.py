@@ -39,7 +39,6 @@ Dynamics layouts are boson (x) qubits, boson first (factor 0).
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +51,9 @@ from .hilbert import (
     StateVector,
     _chebyshev_operator,
     _chebyshev_propagate,
+    _exchange_step,
     _fock_rabi_amplitudes,
+    _rabi_rate,
     annihilation,
     coherent_state,
 )
@@ -77,9 +78,11 @@ __all__ = [
 MAX_DENSE_DIM = 4096
 # analytic_qubit_states evaluates this many times per array pass.  At
 # N = 8, cutoff 40, 401 times, on a 2-vCPU Xeon VM with one BLAS thread,
-# the kernel takes about 10 ms with a chunk of 32, 12 ms with 16 and
-# 10-14 ms with 64; a decohere run peaks at 61.9 MiB of RSS with 32,
-# 61.1 MiB with 16 and 63.5 MiB with 64
+# the kernel takes 6.1 ms with a chunk of 32, 7.1 ms with 16 and 5.6 ms
+# with 64 (in-process medians of 60).  One decohere-n8 benchmark run
+# each reads a norm_wall_s of 22.3 ms and a peak RSS of 61.6 MiB with
+# 32, 24.1 ms and 61.0 MiB with 16, and 22.6 ms and 63.0 MiB with 64:
+# 64 buys no wall time for its memory
 _TIME_CHUNK = 32
 
 
@@ -188,8 +191,8 @@ def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes
     c_e = -i (sqrt(<n>) lambda_k / Omega_k) sin(Omega_k t/2)
     """
     c_g, c_e = _semiclassical_amplitudes(t, spec)
-    omega = math.sqrt(spec.n_mean * spec.couplings[k] ** 2 + spec.detunings[k] ** 2)
-    return BranchAmplitudes(complex(c_g[k]), complex(c_e[k]), omega)
+    omega = _rabi_rate(spec.n_mean, spec.couplings[k], spec.detunings[k])[0]
+    return BranchAmplitudes(complex(c_g[k]), complex(c_e[k]), float(omega))
 
 
 def branch_states(t: float, spec: ReservoirSpec) -> list[DensityMatrix]:
@@ -321,14 +324,30 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
     the N - 1 other qubits has at most N - 1 excitations, so for
     n >= N - 1 the sum E_n takes every coefficient and is the plain
     product prod_{k>=1} (w_g,k + w_e,k), and so is E_(n-1) for n >= N.
-    The z-polynomial is therefore formed on the first min(N, cutoff)
-    levels only, and the product, kept even where it is 1 in exact
-    arithmetic, serves every level above.  The cost is
-    O(T (cutoff N + N^3)), not O(T cutoff N^2).  The diagonal weights
-    are real and run in real arithmetic; only the cross pair is
-    complex.  Times are taken in chunks of _TIME_CHUNK; the "strained"
-    warning of analytic_joint_state is issued afterwards for each time
-    in order.
+    On the diagonal that product is 1, since |c_g|^2 + |c_e|^2 = 1 for
+    each qubit (hilbert._exchange_step is unitary to rounding), so those
+    levels take E = 1 and form no product; the cross product is formed
+    on every level.  The z-polynomial is formed on the first
+    min(N, cutoff) levels only, and the cost is O(T (cutoff N + N^3)),
+    not O(T cutoff N^2).
+
+    With s = sin(Omega t/2)/Omega, c_g = cos(Omega t/2) + i delta s and
+    c_e = -i sqrt(n) lambda s (hilbert._fock_rabi_amplitudes), so
+
+        |c_g(n)|^2 = cos^2 + (delta s)^2,   |c_e(n)|^2 = n lambda^2 s^2,
+        c_g(n) c_g(n+1)^* + c_e(n) c_e(n+1)^* = xr + i xi,
+        xr = cos_n cos_(n+1) + (delta^2 + sqrt(n (n+1)) lambda^2) s_n s_(n+1),
+        xi = delta (s_n cos_(n+1) - cos_n s_(n+1)).
+
+    Omega, 1/Omega, sqrt(n) lambda and the weight of s_n s_(n+1) do not
+    depend on t and are built once.  Times are then taken in chunks of
+    _TIME_CHUNK, each with one cos and one sin per qubit, level and time
+    (hilbert._exchange_step) and the weights above in real arithmetic.
+    Complex numbers enter only in the product of xr + i xi over the
+    qubits, in the truncated sums on the binding levels and in rho_01.
+    No BLAS call is made, so no thread count moves the digits.  The
+    "strained" warning of analytic_joint_state is issued afterwards for
+    each time in order.
     """
     times = _nonnegative_times(times)
     # a zero at level cutoff, so that the n + 1 terms read a zero; the
@@ -336,42 +355,50 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
     cat, coh = (np.append(a, 0.0)[:, None] for a in _cat_amplitudes(alpha, cutoff))
     pop, coh_pop = np.abs(cat) ** 2, np.abs(coh) ** 2
     cross = cat[:-1] * cat[1:].conj()
-    levels = np.arange(cutoff + 1, dtype=float)[:, None]
+    # (N, cutoff + 1, 1) time-independent parts of every qubit and level
+    n = np.arange(cutoff + 1, dtype=float)[:, None]
     lam = np.asarray(spec.couplings)[:, None, None]
     delta = np.asarray(spec.detunings)[:, None, None]
-    n_other = spec.n_qubits - 1
-    # levels where the truncation binds: E_n below n_other, E_(n-1) up to it
-    binds = np.arange(min(n_other, cutoff))
-    binds_prev = np.arange(min(n_other + 1, cutoff))
+    omega, inv_omega = _rabi_rate(n, lam, delta)
+    rate_e = np.sqrt(n) * lam
+    # the weight of s_n s_(n+1) in xr, for qubits 1..N-1
+    cross_weight = (delta**2 + np.sqrt(n[:-1] * n[1:]) * lam**2)[1:]
+    # levels where the truncation binds: E_n below N - 1, E_(n-1) up to it
+    b, bp = min(spec.n_qubits - 1, cutoff), min(spec.n_qubits, cutoff)
+    binds, binds_prev = np.arange(b), np.arange(bp)
     states = np.empty((times.size, 2, 2), dtype=complex)
     leaks = np.empty(times.size)
     for start in range(0, times.size, _TIME_CHUNK):
         t = times[start : start + _TIME_CHUNK]
-        # (N, cutoff + 1, chunk) amplitudes of every qubit, level and time
-        c_g, c_e = _fock_rabi_amplitudes(levels, lam, delta, t)
-        leaks[start : start + t.size] = np.sum(np.abs(c_e) ** 2 * coh_pop, axis=(0, 1))
-        # weights of qubits 1..N-1, (N-1, cutoff, chunk): the diagonal
-        # pair at n, and the cross pair between n and n + 1
-        g, e = c_g[1:], c_e[1:]
-        d_g, d_e = np.abs(g[:, :-1]) ** 2, np.abs(e[:, :-1]) ** 2
-        x_g, x_e = g[:, :-1] * g[:, 1:].conj(), e[:, :-1] * e[:, 1:].conj()
-        e_diag = np.prod(d_g + d_e, axis=0)  # (cutoff, chunk)
-        e_prev = e_diag.copy()
-        e_cross = np.prod(x_g + x_e, axis=0)
-        upto = _coefficient_sums(d_g[:, : binds_prev.size], d_e[:, : binds_prev.size])
-        e_diag[binds] = upto[binds + 1, binds]
-        e_prev[binds_prev] = upto[binds_prev, binds_prev]
-        upto = _coefficient_sums(x_g[:, : binds.size], x_e[:, : binds.size])
-        e_cross[binds] = upto[binds + 1, binds]
-        g0, e0 = c_g[0], c_e[0]
-        rho00 = np.sum(pop[:-1] * np.abs(g0[:-1]) ** 2 * e_diag, axis=0)
-        rho11 = np.sum(pop[:-1] * np.abs(e0[:-1]) ** 2 * e_prev, axis=0)
-        rho01 = np.sum(cross * g0[:-1] * e0[1:].conj() * e_cross, axis=0)
+        # (N, cutoff + 1, chunk): c_g = cos + i im_g and c_e = -i im_e
+        cos, sin = _exchange_step(omega, inv_omega, t)
+        im_g, im_e = delta * sin, rate_e * sin
+        d_g, d_e = cos**2 + im_g**2, im_e**2
+        leaks[start : start + t.size] = np.sum(d_e.sum(axis=0) * coh_pop, axis=0)
+        # qubits 1..N-1, (N - 1, cutoff, chunk): xr + i xi between n and n + 1
+        c, s = cos[1:], sin[1:]
+        xr = c[:, :-1] * c[:, 1:] + cross_weight * (s[:, :-1] * s[:, 1:])
+        xi = delta[1:] * (s[:, :-1] * c[:, 1:] - c[:, :-1] * s[:, 1:])
+        e_cross = np.prod(xr + 1j * xi, axis=0)
+        # the truncated sums on the binding levels
+        upto = _coefficient_sums(d_g[1:, :bp], d_e[1:, :bp])
+        g = c[:, : b + 1] + 1j * im_g[1:, : b + 1]
+        e = im_e[1:, : b + 1]
+        upto_cross = _coefficient_sums(g[:, :-1] * g[:, 1:].conj(), e[:, :-1] * e[:, 1:])
+        e_cross[:b] = upto_cross[binds + 1, binds]
+        # qubit 0, (cutoff, chunk); above the binding levels E_n = E_(n-1) = 1
+        w00 = pop[:-1] * d_g[0, :-1]
+        w00[:b] *= upto[binds + 1, binds]
+        w11 = pop[:-1] * d_e[0, :-1]
+        w11[:bp] *= upto[binds_prev, binds_prev]
+        # c_g0(n) c_e0(n+1)^* = im_e(n+1) (i cos(n) - im_g(n))
+        w01 = cross * e_cross * im_e[0, 1:] * (1j * cos[0, :-1] - im_g[0, :-1])
+        rho00, rho11 = w00.sum(axis=0), w11.sum(axis=0)
         trace = rho00 + rho11
         block = states[start : start + t.size]
         block[:, 0, 0] = rho00 / trace
         block[:, 1, 1] = rho11 / trace
-        block[:, 0, 1] = rho01 / trace
+        block[:, 0, 1] = w01.sum(axis=0) / trace
         block[:, 1, 0] = block[:, 0, 1].conj()
     for leak in leaks:
         _warn_if_strained(float(leak), spec.n_mean)

@@ -10,9 +10,14 @@ state's layout; DensityMatrix adds validate().  annihilation and
 displacement return plain complex arrays.
 
 The closed forms the other modules share have their one copy here:
-the truncated coherent amplitudes, the two-level exchange step of the
-Jaynes-Cummings manifold {|n,g>, |n-1,e>} (dynamics, catprep, floquet),
-the Bessel orders and the sparse Chebyshev propagator.
+the truncated coherent amplitudes, the Bessel orders, the sparse
+Chebyshev propagator, and the two-level exchange step of the
+Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  That step is split in
+two: _rabi_rate gives the time-independent Omega(n) and 1/Omega, and
+_exchange_step gives cos(Omega t/2) and sin(Omega t/2)/Omega at any
+times.  _fock_rabi_amplitudes joins them into the amplitudes (c_g,
+c_e) that catprep, floquet and the semiclassical branch model use;
+dynamics.analytic_qubit_states calls the two halves directly.
 
 All frequencies are angular (rad/s) and all times are seconds.
 """
@@ -234,20 +239,49 @@ def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = No
     return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
 
 
+def _rabi_rate(n, lam, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Omega(n) = sqrt(n lambda^2 + delta^2) and 1/Omega, which is 0 where Omega = 0.
+
+    The time-independent half of the exchange step: a caller that
+    takes one set of rates at many times builds it once.  Arguments
+    broadcast.
+    """
+    omega = np.sqrt(n * lam**2 + delta**2)
+    inv_omega = 1.0 / np.where(omega > 0, omega, np.inf)
+    return omega, inv_omega
+
+
+def _exchange_step(omega, inv_omega, t) -> tuple[np.ndarray, np.ndarray]:
+    """cos(Omega t/2) and sin(Omega t/2)/Omega for the (Omega, 1/Omega) of _rabi_rate.
+
+    sin(Omega t/2)/Omega takes its limit t/2 where Omega = 0.  Arguments
+    broadcast, and the result has their broadcast shape.
+    """
+    half = omega * (t / 2.0)
+    sin_over_omega = np.sin(half) * inv_omega
+    zero = omega == 0
+    if zero.any():
+        sin_over_omega = np.where(zero, t / 2.0, sin_over_omega)
+    return np.cos(half), sin_over_omega
+
+
 def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of |n,g> -> c_g |n,g> + c_e |n-1,e> under one exchange term.
 
     The term is delta |e><e| + (lambda/2)(a |e><g| + a^dag |g><e|); it
     keeps {|n,g>, |n-1,e>} closed and rotates it at Omega(n) =
-    sqrt(n lambda^2 + delta^2).  The common phase exp(-i delta t/2) is
-    left to the caller.  Arguments broadcast.  sin(Omega t/2)/Omega is
-    written as (t/2) sinc so that Omega = 0 needs no special case.
-    catprep takes it at lambda = 2 xi, delta = 0, floquet at n = 1.
+    sqrt(n lambda^2 + delta^2):
+
+        c_g = cos(Omega t/2) + i delta sin(Omega t/2)/Omega
+        c_e = -i sqrt(n) lambda sin(Omega t/2)/Omega
+
+    with both trigonometric parts from _exchange_step, so Omega = 0
+    gives c_g = 1 and c_e = 0.  The common phase exp(-i delta t/2) is
+    left to the caller.  Arguments broadcast.  catprep takes it at
+    lambda = 2 xi, delta = 0, floquet at n = 1.
     """
-    omega = np.sqrt(n * lam**2 + delta**2)
-    half = omega * t / 2.0
-    sin_over_omega = (t / 2.0) * np.sinc(half / math.pi)
-    c_g = np.cos(half) + 1j * delta * sin_over_omega
+    cos, sin_over_omega = _exchange_step(*_rabi_rate(n, lam, delta), t)
+    c_g = cos + 1j * delta * sin_over_omega
     c_e = -1j * np.sqrt(n) * lam * sin_over_omega
     return c_g, c_e
 
@@ -396,10 +430,13 @@ def evolve_td(h_of_t, psi: StateVector, t_end: float, dt: float) -> StateVector:
     OperatorMatrix on the state's layout; each step is one call to
     evolve, which checks it.  The step error is O(dt^2) per unit time.
     No command calls it: it is the dense oracle of the closed-form
-    steps in floquet.swap_frequency.
+    steps in floquet.swap_frequency.  t_end must be finite and
+    nonnegative, and dt finite and positive.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     n_steps = max(1, int(round(t_end / dt)))
     step = t_end / n_steps
     for k in range(n_steps):

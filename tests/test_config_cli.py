@@ -586,7 +586,8 @@ def test_decohere_t0_row_prints_no_negative_zero(tmp_path, config_path):
 
 
 def test_decohere_csv_independent_of_blas_threads(tmp_path):
-    # a fresh interpreter per thread count: BLAS reads it when it loads
+    # a fresh interpreter per thread count: BLAS reads it when it loads.
+    # The benchmark's grid, 401 times, runs every chunk of the kernel
     src = os.path.dirname(os.path.dirname(catbath.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -595,7 +596,7 @@ def test_decohere_csv_independent_of_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "catbath.cli", "decohere", "--config", str(DEVICE_YAML),
-             "--n-qubits", "8", "--t-max", "20", "--dt", "0.5", "--wigner-times", "20",
+             "--n-qubits", "8", "--t-max", "200", "--dt", "0.5", "--wigner-times", "20",
              "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )

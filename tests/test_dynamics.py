@@ -516,8 +516,9 @@ def test_analytic_qubit_states_match_joint_state_random():
 
 
 def test_analytic_qubit_states_match_joint_state_n8():
-    # 41 times cross chunk boundaries, and most of them strain the model
-    times = np.linspace(0.0, 200.0, 41) * NS
+    # two full chunks and a partial one, whatever the chunk size, and most
+    # of the times strain the model
+    times = np.linspace(0.0, 200.0, 2 * _TIME_CHUNK + 3) * NS
     err, fast, slow = _qubit_states_against_joint(times, ALPHA, table_spec(8), 40)
     assert err < 1e-12
     assert len(slow) > 10 and fast == slow

@@ -13,6 +13,9 @@ from catbath.hilbert import (
     SpaceLayout,
     StateVector,
     TruncationWarning,
+    _exchange_step,
+    _fock_rabi_amplitudes,
+    _rabi_rate,
     annihilation,
     coherent_state,
     density_from_state,
@@ -160,6 +163,26 @@ def test_evolve_td_rejects_layout_mismatch():
         evolve_td(lambda t: h, psi, 1e-9, 1e-10)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(-100e-9, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10), (-math.inf, 1e-10),
+     (1e-9, 0.0), (1e-9, -1e-10), (1e-9, math.nan), (1e-9, math.inf)],
+)
+def test_evolve_td_rejects_bad_times_before_any_step(t_end, dt):
+    # the times are checked before the first step, so h_of_t is never called
+    layout = SpaceLayout((2,))
+    calls = []
+
+    def h_of_t(t):
+        calls.append(t)
+        return OperatorMatrix(layout, np.eye(2, dtype=complex))
+
+    psi = StateVector(layout, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="t_end must be" if dt == 1e-10 else "dt must be"):
+        evolve_td(h_of_t, psi, t_end, dt)
+    assert calls == []
+
+
 def test_partial_trace_product_and_bell(rng):
     # product state
     pa = rng.random(3)
@@ -211,3 +234,35 @@ def test_propagator_is_unitary(seed, t):
     w, v = np.linalg.eigh(h.mat)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-8
+
+
+# rates in rad/s and times in s spanning the package's scales; 0 is drawn
+# often, since Omega = 0 at n = 0, delta = 0 is the case that needs a limit
+_rates = st.floats(1e3, 1e10)
+_detunings = st.one_of(st.just(0.0), _rates, _rates.map(lambda x: -x))
+_times = st.one_of(st.just(0.0), st.floats(0.0, 1e-5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), _rates, _detunings, _times)
+def test_exchange_step_is_unitary(n, lam, delta, t):
+    c_g, c_e = _fock_rabi_amplitudes(n, lam, delta, t)
+    assert np.isfinite(c_g) and np.isfinite(c_e)
+    assert abs(abs(c_g) ** 2 + abs(c_e) ** 2 - 1.0) < 1e-14
+    if n == 0:
+        assert c_e == 0
+
+
+@pytest.mark.parametrize("t", [0.0, 3e-9, 1e-5])
+def test_exchange_step_at_zero_rate_is_exactly_the_identity(t):
+    # Omega = 0: sin(Omega t/2)/Omega takes its limit t/2, and 0 * t/2
+    # leaves c_g = 1 and c_e = 0 exactly, with no 0 * inf along the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cos, sin_over_omega = _exchange_step(*_rabi_rate(0.0, 2e8, 0.0), t)
+        c_g, c_e = _fock_rabi_amplitudes(0, 2e8, 0.0, t)
+        grid = _fock_rabi_amplitudes(np.arange(3.0)[:, None], 2e8, 0.0, np.array([0.0, t]))
+    assert cos == 1 and sin_over_omega == t / 2
+    assert c_g == 1 and c_e == 0
+    assert np.all(grid[0][0] == 1) and np.all(grid[1][0] == 0)
+    assert np.all(np.isfinite(grid[0])) and np.all(np.isfinite(grid[1]))
