@@ -10,14 +10,24 @@ leaves no half-written output.
 Numerical warnings do not fail a run; they are collected into a
 sidecar log next to the main output (``<out>.warnings.log``), one line
 per kind of warning, that is per category and source line that issued
-it, with its count and its first and last message.
+it, with its count and its first and last message.  The "strained"
+warning of ``decohere`` is one warning for the whole grid, with the
+count of strained times and the first, last and largest leak.
+
+The parser is built from one table of commands, ``_COMMANDS``.  Every
+command is a subparser, but only the one the command line names gets
+its arguments (all of them do when it names none), so a run pays for
+one command's flags.  The help texts and error messages do not depend
+on this.
 
 The ``decohere`` columns come from two models, each evaluated over the
 whole time grid in one call: ``entropy_bits`` from qubit 0's state in
 the photon-resolved branch model, ``dynamics.analytic_qubit_states``,
 while ``coh_factor_abs`` and ``distinguishability`` come from the
 semiclassical ``dynamics.coherence_factor``, with D = sqrt(1 - |coh|^2),
-the trace distance of the pure reservoir records.  ``wigner`` maps the
+the trace distance of the pure reservoir records.  Its grid t_j = j dt
+reaches t_max; one of more than MAX_TIME_POINTS times is refused with
+exit code 1 before any array over it is built.  ``wigner`` maps the
 synthesized cat; ``wigner --time`` and the ``decohere --wigner-times``
 snapshots map the field of the branch model.  Both photon-resolved
 kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
@@ -43,6 +53,10 @@ from .config import MHZ, NS, ConfigError, load_config
 from .hilbert import DensityMatrix, SpaceLayout, density_from_state
 
 __all__ = ["main"]
+
+# the most decohere time points: the arrays over the grid take about
+# 150 B per point, so the cap bounds them near 150 MB
+MAX_TIME_POINTS = 10**6
 
 
 class CliError(ValueError):
@@ -215,12 +229,22 @@ def _cmd_decohere(args) -> list[str]:
         raise CliError("--t-max and --dt must be positive")
     if any(t < 0 for t in args.wigner_times or []):
         raise CliError("--wigner-times must be nonnegative")
+    # the grid's length before any array is built: t_j = j dt up to t_max
+    points = (t_max + dt / 2.0) / dt
+    if points > MAX_TIME_POINTS:
+        raise CliError(
+            f"--t-max / --dt: {_fmt(t_max / NS)} ns in steps of {_fmt(dt / NS)} ns "
+            f"is more than {MAX_TIME_POINTS} time points"
+        )
+    n_times = math.ceil(points)
     spec = _reservoir_from_config(cfg, n)
-    times = np.arange(0.0, t_max + dt / 2.0, dt)
+    times = np.arange(n_times) * dt
     coh = np.abs(dynamics.coherence_factor(times, spec))
     # trace distance of pure records; the clip keeps a |coh| rounded above 1 finite
     disting = np.sqrt(np.maximum(0.0, 1.0 - coh**2))
-    states = dynamics.analytic_qubit_states(times, cfg.scenario.alpha, spec, cfg.cutoff)
+    states = dynamics.analytic_qubit_states(
+        dt, n_times, cfg.scenario.alpha, spec, cfg.cutoff
+    )
     entropy = analysis._entropy_bits(states)
     header = ["t_ns", "coh_factor_abs", "entropy_bits", "distinguishability"]
     _write_csv(args.out, header, zip(times / NS, coh, entropy, disting))
@@ -359,73 +383,91 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    """One add_argument call of a command: (flags, keyword arguments)."""
+    return flags, kwargs
+
+
+# name: (handler, help, arguments), in the order `catbath -h` lists them
+_COMMANDS = {
+    "prep-cat": (_cmd_prep_cat, "emit the swap sequence and cat amplitudes", (
+        _arg("--config", required=True),
+        _arg("--steps-out", required=True),
+        _arg("--fock-out", required=True),
+    )),
+    "floquet-calib": (_cmd_floquet_calib, "sideband couplings and Stark shifts", (
+        _arg("--params", required=True, help="CSV: name,xi_MHz,eps_MHz,nu_MHz,delta_MHz,K_MHz"),
+        _arg("--out", required=True),
+    )),
+    "decohere": (
+        _cmd_decohere,
+        "reservoir decoherence trace over the whole time grid (entropy_bits "
+        "of qubit 0 in the photon-resolved branch model; coh_factor_abs from the "
+        "semiclassical model and distinguishability = sqrt(1 - coh_factor_abs^2))",
+        (
+            _arg("--config", required=True),
+            _arg("--n-qubits", type=int, default=None),
+            _arg("--t-max", type=_finite_float, default=None, help="ns"),
+            _arg("--dt", type=_finite_float, default=None, help="ns"),
+            _arg("--out", required=True),
+            _arg(
+                "--wigner-times",
+                type=_finite_float,
+                nargs="*",
+                default=None,
+                metavar="T_NS",
+                help="emit field Wigner snapshots at these times",
+            ),
+        ),
+    ),
+    "wigner": (_cmd_wigner, "Wigner map of the synthesized cat", (
+        _arg("--config", required=True),
+        _arg("--time", type=_finite_float, default=None, help="ns of reservoir "
+             "evolution, starting from the ideal cat N+(|0> + |alpha>), not the synthesized one"),
+        _arg("--theta", type=_finite_float, default=0.0, help="derotation angle, rad"),
+        _arg("--out", required=True),
+    )),
+    "fit-rabi": (_cmd_fit_rabi, "invert a Rabi trace into photon numbers", (
+        _arg("--data", required=True, help="CSV: tau_ns,pe"),
+        _arg("--xi-mhz", type=_finite_float, required=True),
+        _arg("--n-max", type=int, required=True),
+        _arg("--noise", type=_finite_float, default=0.0, help="add Gaussian noise of this sigma"),
+        _arg("--seed", type=int, default=0),
+        _arg("--out", required=True),
+    )),
+    "disting": (_cmd_disting, "distinguishability from per-qubit branches", (
+        _arg("--branches", required=True, help="CSV: qubit,re00,im00,...,im11"),
+    )),
+    "crosstalk-solve": (_cmd_crosstalk_solve, "commanded Z amplitudes from targets", (
+        _arg("--coeffs", required=True, help="CSV: i,j,alpha"),
+        _arg("--targets", required=True, help="CSV: i,z_eff"),
+        _arg("--out", required=True),
+    )),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The catbath parser for the command line `argv` (without the program name).
+
+    Every command of _COMMANDS is a subparser, so `catbath -h` lists
+    them all and an unknown name is reported as before.  Only the
+    command that argv[0] names gets its arguments, since parsing argv
+    needs no other; when argv[0] names no command, every command gets
+    them.
+    """
     parser = _Parser(
         prog="catbath",
         description="Cat-state decoherence simulator: preparation, Floquet "
         "calibration, reservoir dynamics, tomography, and analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prep-cat", help="emit the swap sequence and cat amplitudes")
-    p.add_argument("--config", required=True)
-    p.add_argument("--steps-out", required=True)
-    p.add_argument("--fock-out", required=True)
-    p.set_defaults(func=_cmd_prep_cat)
-
-    p = sub.add_parser("floquet-calib", help="sideband couplings and Stark shifts")
-    p.add_argument("--params", required=True, help="CSV: name,xi_MHz,eps_MHz,nu_MHz,delta_MHz,K_MHz")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_floquet_calib)
-
-    p = sub.add_parser(
-        "decohere",
-        help="reservoir decoherence trace over the whole time grid (entropy_bits "
-        "of qubit 0 in the photon-resolved branch model; coh_factor_abs from the "
-        "semiclassical model and distinguishability = sqrt(1 - coh_factor_abs^2))",
-    )
-    p.add_argument("--config", required=True)
-    p.add_argument("--n-qubits", type=int, default=None)
-    p.add_argument("--t-max", type=_finite_float, default=None, help="ns")
-    p.add_argument("--dt", type=_finite_float, default=None, help="ns")
-    p.add_argument("--out", required=True)
-    p.add_argument(
-        "--wigner-times",
-        type=_finite_float,
-        nargs="*",
-        default=None,
-        metavar="T_NS",
-        help="emit field Wigner snapshots at these times",
-    )
-    p.set_defaults(func=_cmd_decohere)
-
-    p = sub.add_parser("wigner", help="Wigner map of the synthesized cat")
-    p.add_argument("--config", required=True)
-    p.add_argument("--time", type=_finite_float, default=None, help="ns of reservoir "
-                   "evolution, starting from the ideal cat N+(|0> + |alpha>), not the synthesized one")
-    p.add_argument("--theta", type=_finite_float, default=0.0, help="derotation angle, rad")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_wigner)
-
-    p = sub.add_parser("fit-rabi", help="invert a Rabi trace into photon numbers")
-    p.add_argument("--data", required=True, help="CSV: tau_ns,pe")
-    p.add_argument("--xi-mhz", type=_finite_float, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--noise", type=_finite_float, default=0.0, help="add Gaussian noise of this sigma")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fit_rabi)
-
-    p = sub.add_parser("disting", help="distinguishability from per-qubit branches")
-    p.add_argument("--branches", required=True, help="CSV: qubit,re00,im00,...,im11")
-    p.set_defaults(func=_cmd_disting)
-
-    p = sub.add_parser("crosstalk-solve", help="commanded Z amplitudes from targets")
-    p.add_argument("--coeffs", required=True, help="CSV: i,j,alpha")
-    p.add_argument("--targets", required=True, help="CSV: i,z_eff")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_crosstalk_solve)
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -450,8 +492,8 @@ def _group_warnings(caught) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

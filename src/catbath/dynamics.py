@@ -19,8 +19,10 @@ floquet.
   3385, 1990).  It is exact at N = 1 and approximate for N >= 2, since
   it ignores that a photon taken by one qubit lowers the rate the
   others see.  analytic_qubit_states gives qubit 0's reduced state of
-  this model over a whole time grid in closed form, without forming
-  the 2^N branch.
+  this model on a whole time grid t_j = j dt in closed form, without
+  forming the 2^N branch; on the grid its phases follow by angle
+  addition from one table and one direct evaluation per chunk, and it
+  issues one "strained" warning for all its times.
 - branch_amplitudes, branch_states and coherence_factor are the
   n = <n> case: the field is a classical drive of Rabi frequency
   Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).
@@ -39,6 +41,7 @@ Dynamics layouts are boson (x) qubits, boson first (factor 0).
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -76,14 +79,18 @@ __all__ = [
 # the dense Hamiltonian, a small-register oracle, is refused above this
 # dimension; evolve_excitation_blocks takes any size
 MAX_DENSE_DIM = 4096
-# analytic_qubit_states evaluates this many times per array pass.  At
-# N = 8, cutoff 40, 401 times, on a 2-vCPU Xeon VM with one BLAS thread,
-# the kernel takes 6.1 ms with a chunk of 32, 7.1 ms with 16 and 5.6 ms
-# with 64 (in-process medians of 60).  One decohere-n8 benchmark run
-# each reads a norm_wall_s of 22.3 ms and a peak RSS of 61.6 MiB with
-# 32, 24.1 ms and 61.0 MiB with 16, and 22.6 ms and 63.0 MiB with 64:
-# 64 buys no wall time for its memory
+# analytic_qubit_states evaluates this many times per array pass, and
+# its table of phase offsets a dt has this length.  At N = 8, cutoff
+# 40, 401 times, on a 2-vCPU Xeon VM with one BLAS thread, the kernel
+# takes 6.5 ms with 32, 8.4 ms with 16 and 5.3 ms with 64 (in-process
+# medians of 60).  Two decohere-n8 benchmark runs each read a
+# norm_wall_s of 17.5 ms and a peak RSS of 61.15 MiB with 32, 20.3 ms
+# and 60.6 MiB with 16, and 16.6-17.1 ms and 62.2 MiB with 64: 64 buys
+# under 1 ms for 1 MiB
 _TIME_CHUNK = 32
+# the branch model is strained once the excitation leaked to the qubits
+# passes this share of <n>
+_STRAIN_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -225,9 +232,29 @@ def cat_with_ground_qubits(alpha: complex, spec: ReservoirSpec, cutoff: int) -> 
 
 def _warn_if_strained(leak: float, n_mean: float) -> None:
     """Warn when the excitation leaked to the qubits is not small against <n>."""
-    if n_mean > 0 and leak > 0.1 * n_mean:
+    if n_mean > 0 and leak > _STRAIN_SHARE * n_mean:
         warnings.warn(
-            f"qubit excitation {leak:.3f} exceeds 10% of <n>={n_mean:.2f}; "
+            f"qubit excitation {leak:.3f} exceeds {_STRAIN_SHARE:.0%} of <n>={n_mean:.2f}; "
+            "the branch model is strained",
+            UserWarning,
+        )
+
+
+def _warn_once_if_strained(leaks: np.ndarray, n_mean: float) -> None:
+    """One warning for all the times of a grid that _warn_if_strained flags.
+
+    `leaks` holds one leak per time, in order.  The warning gives how
+    many of them strain the model, and the first, last and largest of
+    those leaks.
+    """
+    if n_mean <= 0:
+        return
+    strained = leaks[leaks > _STRAIN_SHARE * n_mean]
+    if strained.size:
+        warnings.warn(
+            f"qubit excitation exceeds {_STRAIN_SHARE:.0%} of <n>={n_mean:.2f} at "
+            f"{strained.size} of {leaks.size} times (first {strained[0]:.3f}, "
+            f"last {strained[-1]:.3f}, largest {strained.max():.3f}); "
             "the branch model is strained",
             UserWarning,
         )
@@ -300,18 +327,20 @@ def _coefficient_sums(w_g: np.ndarray, w_e: np.ndarray) -> np.ndarray:
     return upto
 
 
-def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: int) -> np.ndarray:
-    """Qubit 0's reduced state of analytic_joint_state at each time, shape (T, 2, 2).
+def analytic_qubit_states(
+    dt: float, n_times: int, alpha: complex, spec: ReservoirSpec, cutoff: int
+) -> np.ndarray:
+    """Qubit 0's reduced state of analytic_joint_state at t_j = j dt, j < n_times.
 
-    The 2^N joint state is never formed.  Its amplitude at field level
-    m for pattern b is phi cat_n prod_k p_k(n, b_k) with n = m + |b|,
-    where cat_n is the ideal cat's Fock amplitude, p_k(n, 0) = c_g,k(n),
-    p_k(n, 1) = c_e,k(n) and phi = exp(-i sum_k delta_k t/2) is a global
-    phase.  The vacuum branch |0, G> is the level n = 0, where c_e,k(0)
-    = 0.  Contracting qubits 1..N-1 and the field needs only
-    E_n[w_g, w_e], the sum of the coefficients of z^0..z^n of
-    prod_{k>=1} (w_g,k + z w_e,k), i.e. the sum over patterns b' of the
-    other qubits with |b'| <= n:
+    Returns shape (n_times, 2, 2).  The 2^N joint state is never formed.
+    Its amplitude at field level m for pattern b is phi cat_n prod_k
+    p_k(n, b_k) with n = m + |b|, where cat_n is the ideal cat's Fock
+    amplitude, p_k(n, 0) = c_g,k(n), p_k(n, 1) = c_e,k(n) and phi =
+    exp(-i sum_k delta_k t/2) is a global phase.  The vacuum branch
+    |0, G> is the level n = 0, where c_e,k(0) = 0.  Contracting qubits
+    1..N-1 and the field needs only E_n[w_g, w_e], the sum of the
+    coefficients of z^0..z^n of prod_{k>=1} (w_g,k + z w_e,k), i.e. the
+    sum over patterns b' of the other qubits with |b'| <= n:
 
         rho_00 = sum_n |cat_n c_g0(n)|^2 E_n[|c_g(n)|^2, |c_e(n)|^2]
         rho_11 = sum_n |cat_n c_e0(n)|^2 E_(n-1)[|c_g(n)|^2, |c_e(n)|^2]
@@ -340,16 +369,31 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
         xi = delta (s_n cos_(n+1) - cos_n s_(n+1)).
 
     Omega, 1/Omega, sqrt(n) lambda and the weight of s_n s_(n+1) do not
-    depend on t and are built once.  Times are then taken in chunks of
-    _TIME_CHUNK, each with one cos and one sin per qubit, level and time
-    (hilbert._exchange_step) and the weights above in real arithmetic.
-    Complex numbers enter only in the product of xr + i xi over the
-    qubits, in the truncated sums on the binding levels and in rho_01.
-    No BLAS call is made, so no thread count moves the digits.  The
-    "strained" warning of analytic_joint_state is issued afterwards for
-    each time in order.
+    depend on t and are built once.  The grid is taken in chunks of
+    _TIME_CHUNK times.  On a grid the phases need few sines: (cos, s)
+    at the offsets a dt, a < _TIME_CHUNK, are one table built once, the
+    chunk's first time t0 is evaluated directly (hilbert._exchange_step
+    both times, so Omega = 0 keeps its limit s = t/2), and every time
+    t0 + a dt of the chunk follows by angle addition,
+
+        cos(t0 + a dt) = cos(t0) cos(a dt) - Omega^2 s(t0) s(a dt),
+        s(t0 + a dt) = s(t0) cos(a dt) + cos(t0) s(a dt),
+
+    at four products per qubit, level and time.  That takes
+    N (cutoff + 1) (_TIME_CHUNK + n_times / _TIME_CHUNK) sines and as
+    many cosines, not N (cutoff + 1) n_times, and the direct value at
+    each chunk's start keeps rounding from building up along the grid.
+    The weights above are then real; complex numbers enter only in the
+    product of xr + i xi over the qubits, in the truncated sums on the
+    binding levels and in rho_01.  The chunk's arrays are buffers built
+    once and filled in place.  No BLAS call is made, so no thread count
+    moves the digits.  One "strained" warning (_warn_once_if_strained)
+    covers all the times that analytic_joint_state would warn for.
     """
-    times = _nonnegative_times(times)
+    dt = float(_nonnegative_times(dt))
+    n_times = operator.index(n_times)
+    if n_times < 0:
+        raise ValueError(f"n_times must be nonnegative, got {n_times}")
     # a zero at level cutoff, so that the n + 1 terms read a zero; the
     # leak to the qubits is that of the |alpha> branch alone
     cat, coh = (np.append(a, 0.0)[:, None] for a in _cat_amplitudes(alpha, cutoff))
@@ -360,26 +404,53 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
     lam = np.asarray(spec.couplings)[:, None, None]
     delta = np.asarray(spec.detunings)[:, None, None]
     omega, inv_omega = _rabi_rate(n, lam, delta)
+    omega_sq = omega**2
     rate_e = np.sqrt(n) * lam
     # the weight of s_n s_(n+1) in xr, for qubits 1..N-1
     cross_weight = (delta**2 + np.sqrt(n[:-1] * n[1:]) * lam**2)[1:]
     # levels where the truncation binds: E_n below N - 1, E_(n-1) up to it
     b, bp = min(spec.n_qubits - 1, cutoff), min(spec.n_qubits, cutoff)
     binds, binds_prev = np.arange(b), np.arange(bp)
-    states = np.empty((times.size, 2, 2), dtype=complex)
-    leaks = np.empty(times.size)
-    for start in range(0, times.size, _TIME_CHUNK):
-        t = times[start : start + _TIME_CHUNK]
-        # (N, cutoff + 1, chunk): c_g = cos + i im_g and c_e = -i im_e
-        cos, sin = _exchange_step(omega, inv_omega, t)
-        im_g, im_e = delta * sin, rate_e * sin
-        d_g, d_e = cos**2 + im_g**2, im_e**2
-        leaks[start : start + t.size] = np.sum(d_e.sum(axis=0) * coh_pop, axis=0)
-        # qubits 1..N-1, (N - 1, cutoff, chunk): xr + i xi between n and n + 1
-        c, s = cos[1:], sin[1:]
-        xr = c[:, :-1] * c[:, 1:] + cross_weight * (s[:, :-1] * s[:, 1:])
-        xi = delta[1:] * (s[:, :-1] * c[:, 1:] - c[:, :-1] * s[:, 1:])
-        e_cross = np.prod(xr + 1j * xi, axis=0)
+    # (N, cutoff + 1, chunk) cos and s at the offsets a dt within a chunk
+    step_cos, step_sin = _exchange_step(
+        omega, inv_omega, dt * np.arange(min(n_times, _TIME_CHUNK))
+    )
+    buffers = np.empty((7,) + step_cos.shape)
+    # qubits 1..N-1, (N - 1, cutoff, chunk): xr + i xi between n and n + 1
+    x_buffer = np.empty((spec.n_qubits - 1, cutoff, step_cos.shape[-1]), dtype=complex)
+    states = np.empty((n_times, 2, 2), dtype=complex)
+    leaks = np.empty(n_times)
+    for start in range(0, n_times, _TIME_CHUNK):
+        size = min(_TIME_CHUNK, n_times - start)
+        # c_g = cos + i im_g and c_e = -i im_e
+        cos, sin, im_g, im_e, d_g, d_e, scratch = buffers[..., :size]
+        # the chunk's first time t0 directly, then t0 + a dt by angle addition
+        cos0, sin0 = _exchange_step(omega, inv_omega, start * dt)
+        np.multiply(cos0, step_cos[..., :size], out=cos)
+        np.multiply(omega_sq * sin0, step_sin[..., :size], out=scratch)
+        cos -= scratch
+        np.multiply(sin0, step_cos[..., :size], out=sin)
+        np.multiply(cos0, step_sin[..., :size], out=scratch)
+        sin += scratch
+        np.multiply(delta, sin, out=im_g)
+        np.multiply(rate_e, sin, out=im_e)
+        np.multiply(cos, cos, out=d_g)
+        np.multiply(im_g, im_g, out=scratch)
+        d_g += scratch
+        np.multiply(im_e, im_e, out=d_e)
+        leaks[start : start + size] = np.sum(d_e.sum(axis=0) * coh_pop, axis=0)
+        # xr into x.real and xi into x.imag, in place
+        c, s, part = cos[1:], sin[1:], scratch[1:, :-1]
+        x = x_buffer[..., :size]
+        np.multiply(c[:, :-1], c[:, 1:], out=x.real)
+        np.multiply(s[:, :-1], s[:, 1:], out=part)
+        part *= cross_weight
+        x.real += part
+        np.multiply(s[:, :-1], c[:, 1:], out=x.imag)
+        np.multiply(c[:, :-1], s[:, 1:], out=part)
+        x.imag -= part
+        x.imag *= delta[1:]
+        e_cross = np.prod(x, axis=0)
         # the truncated sums on the binding levels
         upto = _coefficient_sums(d_g[1:, :bp], d_e[1:, :bp])
         g = c[:, : b + 1] + 1j * im_g[1:, : b + 1]
@@ -395,13 +466,12 @@ def analytic_qubit_states(times, alpha: complex, spec: ReservoirSpec, cutoff: in
         w01 = cross * e_cross * im_e[0, 1:] * (1j * cos[0, :-1] - im_g[0, :-1])
         rho00, rho11 = w00.sum(axis=0), w11.sum(axis=0)
         trace = rho00 + rho11
-        block = states[start : start + t.size]
+        block = states[start : start + size]
         block[:, 0, 0] = rho00 / trace
         block[:, 1, 1] = rho11 / trace
         block[:, 0, 1] = w01.sum(axis=0) / trace
         block[:, 1, 0] = block[:, 0, 1].conj()
-    for leak in leaks:
-        _warn_if_strained(float(leak), spec.n_mean)
+    _warn_once_if_strained(leaks, spec.n_mean)
     return states
 
 

@@ -16,8 +16,11 @@ Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  That step is split in
 two: _rabi_rate gives the time-independent Omega(n) and 1/Omega, and
 _exchange_step gives cos(Omega t/2) and sin(Omega t/2)/Omega at any
 times.  _fock_rabi_amplitudes joins them into the amplitudes (c_g,
-c_e) that catprep, floquet and the semiclassical branch model use;
-dynamics.analytic_qubit_states calls the two halves directly.
+c_e) that catprep, floquet, the semiclassical branch model and
+dynamics.analytic_joint_state use.  dynamics.analytic_qubit_states
+calls the two halves directly: _rabi_rate once, and _exchange_step for
+its table of offsets within a chunk and at the first time of each
+chunk, the other times following by angle addition.
 
 All frequencies are angular (rad/s) and all times are seconds.
 """

@@ -14,12 +14,15 @@ import yaml
 
 import catbath
 from catbath import analysis, catprep, dynamics
+from catbath import cli
 from catbath.cli import (
+    _COMMANDS,
     _fmt,
     _group_warnings,
     _reservoir_from_config,
     _write_csv,
     _write_wigner,
+    build_parser,
     main,
 )
 from catbath.config import (
@@ -534,11 +537,13 @@ def test_warnings_log_groups_by_kind(tmp_path):
                "--dt", "0.5", "--out", str(out)])
     assert rc == 0
     assert len(read_rows(out)) == 401
-    lines = (tmp_path / "dec.csv.warnings.log").read_text().splitlines()
-    strained = [line for line in lines if "branch model is strained" in line]
-    assert len(strained) == 1
-    assert strained[0].startswith("UserWarning x388: qubit excitation 1.140 ")
-    assert "last: qubit excitation 4.006 " in strained[0]
+    # the kernel issues one warning for the whole grid, so the line counts 1
+    (line,) = (tmp_path / "dec.csv.warnings.log").read_text().splitlines()
+    assert line.startswith(
+        "UserWarning x1: qubit excitation exceeds 10% of <n>=10.89 at 388 of 401 times "
+        "(first 1.140, last 4.006, largest "
+    )
+    assert line.endswith("); the branch model is strained")
 
 
 def test_group_warnings_by_source_line():
@@ -788,3 +793,69 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "d.csv").exists() and (tmp_path / "w.csv").exists()
+
+
+def test_decohere_grid_past_the_cap_exits_1(tmp_path, config_path, capsys, monkeypatch):
+    # the count is taken before any array over the grid is built
+    out = tmp_path / "dec.csv"
+    # 10^6 + 1 points; 2e302 points; a count past the float range
+    for t_max, dt in ((str(cli.MAX_TIME_POINTS), "1"), ("200", "1e-300"), ("1e+300", "1e-300")):
+        argv = ["decohere", "--config", config_path, "--t-max", t_max, "--dt", dt,
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --t-max / --dt: {t_max} ns in steps of {dt} ns is more than "
+            f"{cli.MAX_TIME_POINTS} time points\n"
+        )
+        assert list(tmp_path.glob("dec.csv*")) == []
+    # at a cap of 5, 0..4 ns in steps of 1 ns is 5 points and runs; 0..5 ns is refused
+    monkeypatch.setattr(cli, "MAX_TIME_POINTS", 5)
+    argv = ["decohere", "--config", config_path, "--dt", "1", "--out", str(out)]
+    assert main(argv + ["--t-max", "4"]) == 0
+    assert len(read_rows(out)) == 5
+    assert main(argv + ["--t-max", "5"]) == 1
+    assert "5 ns in steps of 1 ns is more than 5 time points" in capsys.readouterr().err
+
+
+# a valid command line of every command, with each of its flags
+COMMAND_ARGV = {
+    "prep-cat": ["--config", "c.yaml", "--steps-out", "s.csv", "--fock-out", "f.csv"],
+    "floquet-calib": ["--params", "p.csv", "--out", "o.csv"],
+    "decohere": ["--config", "c.yaml", "--n-qubits", "3", "--t-max", "20", "--dt", "0.5",
+                 "--out", "o.csv", "--wigner-times", "1", "2.5"],
+    "wigner": ["--config", "c.yaml", "--time", "3", "--theta", "0.7", "--out", "o.csv"],
+    "fit-rabi": ["--data", "d.csv", "--xi-mhz", "19.8", "--n-max", "4", "--noise", "0.01",
+                 "--seed", "3", "--out", "o.csv"],
+    "disting": ["--branches", "b.csv"],
+    "crosstalk-solve": ["--coeffs", "a.csv", "--targets", "t.csv", "--out", "o.csv"],
+}
+
+
+def _help(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(COMMAND_ARGV))
+def test_parser_for_one_command_matches_the_full_parser(name, capsys):
+    argv = [name] + COMMAND_ARGV[name]
+    full, one = build_parser(), build_parser(argv)
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert one.format_help() == full.format_help()
+    assert _help(one, [name, "-h"], capsys) == _help(full, [name, "-h"], capsys)
+    # catbath -h lists every command
+    assert all(command in full.format_help() for command in _COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "c.yaml", "decohere"]],
+                         ids=["none", "unknown", "flag-first"])
+def test_no_or_unknown_command_exits_1_with_usage(argv, capsys):
+    assert list(COMMAND_ARGV) == list(_COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: catbath [-h]\n")
+    assert "\ncatbath: error: " in err

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -486,17 +487,41 @@ def _strained_messages(caught) -> list[str]:
     return [str(w.message) for w in caught if "branch model is strained" in str(w.message)]
 
 
-def _qubit_states_against_joint(times, alpha, spec, cutoff):
-    """Largest deviation from the per-time contraction, and both warning lists."""
+SUMMARY = re.compile(
+    r"qubit excitation exceeds 10% of <n>=(\S+) at (\d+) of (\d+) times "
+    r"\(first (\S+), last (\S+), largest (\S+)\); the branch model is strained"
+)
+
+
+def _assert_summary_of(fast, slow, n_times):
+    """fast is one warning summing up the per-time warnings slow, or none if slow is."""
+    if not slow:
+        assert fast == []
+        return
+    leaks = [msg.split()[2] for msg in slow]  # "qubit excitation 1.140 exceeds ..."
+    n_mean = slow[0].split("<n>=")[1].split(";")[0]
+    expected = (n_mean, str(len(slow)), str(n_times), leaks[0], leaks[-1], max(leaks, key=float))
+    assert len(fast) == 1
+    assert SUMMARY.fullmatch(fast[0]).groups() == expected
+
+
+def _qubit_states_against_joint(dt, n_times, alpha, spec, cutoff):
+    """Largest deviation from the per-time contraction at t_j = j dt, and its warnings.
+
+    Also checks that the kernel's one "strained" warning sums up the
+    per-time warnings of analytic_joint_state on the same grid.
+    """
     with warnings.catch_warnings(record=True) as fast:
         warnings.simplefilter("always")
-        got = analytic_qubit_states(times, alpha, spec, cutoff)
+        got = analytic_qubit_states(dt, n_times, alpha, spec, cutoff)
     with warnings.catch_warnings(record=True) as slow:
         warnings.simplefilter("always")
-        ref = [reduced_qubit_state(analytic_joint_state(t, alpha, spec, cutoff), 0).mat
-               for t in times]
-    assert got.shape == (len(times), 2, 2)
-    return np.max(np.abs(got - np.array(ref))), _strained_messages(fast), _strained_messages(slow)
+        ref = [reduced_qubit_state(analytic_joint_state(j * dt, alpha, spec, cutoff), 0).mat
+               for j in range(n_times)]
+    assert got.shape == (n_times, 2, 2)
+    slow = _strained_messages(slow)
+    _assert_summary_of(_strained_messages(fast), slow, n_times)
+    return np.max(np.abs(got - np.array(ref))), slow
 
 
 def test_analytic_qubit_states_match_joint_state_random():
@@ -509,19 +534,60 @@ def test_analytic_qubit_states_match_joint_state_random():
         deltas = tuple(rng.uniform(-3.0, 3.0, n) * MHZ * detuned)
         alpha = complex(rng.normal(0.0, 1.5), rng.normal(0.0, 1.5))
         spec = ReservoirSpec(lams, deltas, abs(alpha) ** 2)
-        times = np.concatenate([[0.0], rng.uniform(0.0, 200.0, 6) * NS])
-        err, fast, slow = _qubit_states_against_joint(times, alpha, spec, cutoff)
-        assert err < 1e-12, (n, cutoff, alpha, detuned)
-        assert fast == slow
+        # a grid within 200 ns, of one chunk or a few times more
+        n_times = int(rng.integers(1, _TIME_CHUNK + 8))
+        dt = rng.uniform(0.0, 200.0 / n_times) * NS
+        err, _ = _qubit_states_against_joint(dt, n_times, alpha, spec, cutoff)
+        assert err < 1e-12, (n, cutoff, alpha, detuned, n_times)
 
 
 def test_analytic_qubit_states_match_joint_state_n8():
-    # two full chunks and a partial one, whatever the chunk size, and most
-    # of the times strain the model
-    times = np.linspace(0.0, 200.0, 2 * _TIME_CHUNK + 3) * NS
-    err, fast, slow = _qubit_states_against_joint(times, ALPHA, table_spec(8), 40)
+    # two full chunks and a partial one over 200 ns, whatever the chunk
+    # size, and most of the times strain the model
+    n_times = 2 * _TIME_CHUNK + 3
+    dt = 200.0 / (n_times - 1) * NS
+    err, slow = _qubit_states_against_joint(dt, n_times, ALPHA, table_spec(8), 40)
     assert err < 1e-12
-    assert len(slow) > 10 and fast == slow
+    assert len(slow) > 10
+
+
+@pytest.mark.parametrize(
+    "n_times", [1, _TIME_CHUNK - 1, _TIME_CHUNK, _TIME_CHUNK + 1, 2 * _TIME_CHUNK + 3]
+)
+def test_analytic_qubit_states_on_grids_about_the_chunk(n_times):
+    # one time; a chunk short of full; exactly one chunk; a second chunk
+    # of one time, which is its anchor; two chunks and a partial one
+    lams = tuple(2.0 * lh * MHZ for lh in LAMBDA_HALF_TABLE[:4])
+    alpha = 2.4 - 1.1j
+    spec = ReservoirSpec(lams, tuple(np.array([-2.5, 0.7, 0.0, 3.0]) * MHZ), abs(alpha) ** 2)
+    err, _ = _qubit_states_against_joint(3.1 * NS, n_times, alpha, spec, 20)
+    assert err < 1e-12
+
+
+def test_analytic_qubit_states_do_not_drift_along_a_long_grid():
+    # 4 us in steps of 0.5 ns, 251 chunks: each chunk's first time is
+    # evaluated directly, so the angle additions leave no error that
+    # grows along the grid
+    dt, n_times = 0.5 * NS, 8001
+    spec = ReservoirSpec((8.1 * MHZ, 6.6 * MHZ), (0.0, 1.3 * MHZ), N_MEAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = analytic_qubit_states(dt, n_times, ALPHA, spec, 40)
+        # every 23rd time, which meets every offset within a chunk, and the last chunk
+        checked = sorted(set(range(0, n_times, 23)) | set(range(n_times - _TIME_CHUNK, n_times)))
+        ref = [reduced_qubit_state(analytic_joint_state(j * dt, ALPHA, spec, 40), 0).mat
+               for j in checked]
+    assert np.max(np.abs(got[checked] - np.array(ref))) < 1e-12
+
+
+def test_unstrained_grid_gives_no_warning():
+    # one qubit over the first ns takes far less than 10% of <n>
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = analytic_qubit_states(0.1 * NS, 11, ALPHA, r1_spec(), 40)
+        analytic_qubit_states(0.1 * NS, 0, ALPHA, r1_spec(), 40)
+    assert states.shape == (11, 2, 2)
+    assert caught == []
 
 
 @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
@@ -535,28 +601,33 @@ def test_analytic_qubit_states_at_truncation_boundary(n, offset, detuned):
     lams = tuple(2.0 * lh * MHZ for lh in LAMBDA_HALF_TABLE[:n])
     deltas = tuple(np.linspace(-2.5, 3.0, n) * MHZ * detuned)
     spec = ReservoirSpec(lams, deltas, abs(alpha) ** 2)
-    # a count that is not a multiple of the chunk, then a single time
-    times = np.linspace(0.0, 120.0, _TIME_CHUNK + 5) * NS
-    err, fast, slow = _qubit_states_against_joint(times, alpha, spec, cutoff)
-    assert err < 1e-12
-    assert len(slow) > 0 and fast == slow
-    err, fast, slow = _qubit_states_against_joint(times[-1:], alpha, spec, cutoff)
-    assert err < 1e-12
-    assert len(slow) == 1 and fast == slow
+    # a count that is not a multiple of the chunk, then a grid whose last
+    # chunk holds a single time; both end at 120 ns
+    for n_times in (_TIME_CHUNK + 5, _TIME_CHUNK + 1):
+        err, slow = _qubit_states_against_joint(120.0 / (n_times - 1) * NS, n_times, alpha,
+                                                spec, cutoff)
+        assert err < 1e-12
+        assert len(slow) > 0
     # an empty grid: no state and no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        empty = analytic_qubit_states(np.array([]), ALPHA, spec, 40)
+        empty = analytic_qubit_states(0.5 * NS, 0, ALPHA, spec, 40)
     assert empty.shape == (0, 2, 2)
     assert caught == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
 def test_analytic_qubit_states_reject_bad_time(bad):
-    times = np.array([0.0, 5e-9, bad, 10e-9])
     match = "nonnegative" if bad == -1e-9 else "t must be finite"
     with pytest.raises(ValueError, match=match):
-        analytic_qubit_states(times, ALPHA, table_spec(2), 14)
+        analytic_qubit_states(bad, 4, ALPHA, table_spec(2), 14)
+
+
+def test_analytic_qubit_states_reject_bad_count():
+    with pytest.raises(ValueError, match="n_times must be nonnegative"):
+        analytic_qubit_states(0.5 * NS, -1, ALPHA, table_spec(2), 14)
+    with pytest.raises(TypeError):
+        analytic_qubit_states(0.5 * NS, 2.5, ALPHA, table_spec(2), 14)
 
 
 def test_vacuum_is_level_0_of_the_photon_resolved_map():
@@ -570,7 +641,8 @@ def test_vacuum_is_level_0_of_the_photon_resolved_map():
         amps = analytic_joint_state(t, 0.0, spec, 8).amps
         assert abs(amps[0] - 1.0) < 1e-15
         assert np.all(amps[1:] == 0.0)
-    states = analytic_qubit_states(times, 0.0, spec, 8)
+    # 0 to 200.75 ns, across three chunks
+    states = analytic_qubit_states(7.3 * NS, 2 * _TIME_CHUNK + 3, 0.0, spec, 8)
     assert np.max(np.abs(states - np.diag([1.0, 0.0]))) < 1e-15
 
 
