@@ -116,18 +116,49 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(template % tuple(row))
 
 
-def _read_csv(path: str, required: list[str]) -> list[dict]:
+def _read_csv(path: str, required: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV file; blank lines are skipped.
+
+    _columns reads the rows by column name, and _row_dict shows a row
+    as csv.DictReader would give it.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise CliError(f"{path}: empty file, expected header {required}")
-            missing = [c for c in required if c not in reader.fieldnames]
+            missing = [c for c in required if c not in header]
             if missing:
                 raise CliError(f"{path}: missing columns {missing}")
-            return list(reader)
+            return header, [row for row in reader if row]
     except OSError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _columns(header: list[str], rows: list[list[str]], keys: list[str]) -> list[list]:
+    """The cells of each column named in `keys`, in row order.
+
+    As with csv.DictReader, a row shorter than the header reads None
+    past its end, cells past the header's end are not read, and a name
+    that repeats reads its last column.
+    """
+    at = {name: i for i, name in enumerate(header)}
+    columns = []
+    for key in keys:
+        i = at[key]
+        columns.append([row[i] if i < len(row) else None for row in rows])
+    return columns
+
+
+def _row_dict(header: list[str], row: list[str]) -> dict:
+    """The row as csv.DictReader gives it, for messages: the cells past
+    the header's end under None, and None past the end of a short row."""
+    fields = dict(zip(header, row))
+    fields.update(dict.fromkeys(header[len(row) :]))
+    if len(row) > len(header):
+        fields[None] = row[len(header) :]
+    return fields
 
 
 def _finite_float(text: str) -> float:
@@ -141,13 +172,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _float_field(row: dict, key: str, path: str) -> float:
+def _float_field(text, key: str, path: str) -> float:
+    """The cell `text` of column `key` as a finite float."""
     try:
-        value = float(row[key])
+        value = float(text)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: bad value for {key}: {row[key]!r}") from exc
+        raise CliError(f"{path}: bad value for {key}: {text!r}") from exc
     if not math.isfinite(value):
-        raise CliError(f"{path}: non-finite value for {key}: {row[key]!r}")
+        raise CliError(f"{path}: non-finite value for {key}: {text!r}")
     return value
 
 
@@ -198,22 +230,20 @@ def _cmd_prep_cat(args) -> list[str]:
 
 def _cmd_floquet_calib(args) -> list[str]:
     required = ["name", "xi_MHz", "eps_MHz", "nu_MHz", "delta_MHz", "K_MHz"]
-    rows = _read_csv(args.params, required)
+    header, rows = _read_csv(args.params, required)
     out_rows = []
-    for row in rows:
+    for name, *texts in zip(*_columns(header, rows, required)):
         fields = {
-            key: _float_field(row, f"{key}_MHz", args.params) * MHZ
-            for key in ("xi", "eps", "nu", "delta", "K")
+            key: _float_field(text, f"{key}_MHz", args.params) * MHZ
+            for key, text in zip(("xi", "eps", "nu", "delta", "K"), texts)
         }
         try:
-            p = floquet.FloquetParams(**fields, name=row["name"])
+            p = floquet.FloquetParams(**fields, name=name)
             s1, s2 = floquet.stark_shifts(p)
         except ValueError as exc:  # a property of the row: nu <= 0, a value past
             # the float range in rad/s, or a resonant Stark denominator
-            raise CliError(f"{args.params}: row {row['name']}: {exc}") from exc
-        out_rows.append(
-            (row["name"], floquet.effective_coupling(p) / MHZ, s1 / MHZ, s2 / MHZ)
-        )
+            raise CliError(f"{args.params}: row {name}: {exc}") from exc
+        out_rows.append((name, floquet.effective_coupling(p) / MHZ, s1 / MHZ, s2 / MHZ))
     _write_csv(args.out, ["name", "lambda_half_MHz", "S1_MHz", "S2_MHz"], out_rows)
     return [args.out]
 
@@ -298,9 +328,10 @@ def _cmd_wigner(args) -> list[str]:
 
 
 def _cmd_fit_rabi(args) -> list[str]:
-    rows = _read_csv(args.data, ["tau_ns", "pe"])
-    taus = np.array([_float_field(r, "tau_ns", args.data) for r in rows]) * NS
-    pe = np.array([_float_field(r, "pe", args.data) for r in rows])
+    header, rows = _read_csv(args.data, ["tau_ns", "pe"])
+    tau_texts, pe_texts = _columns(header, rows, ["tau_ns", "pe"])
+    taus = np.array([_float_field(text, "tau_ns", args.data) for text in tau_texts]) * NS
+    pe = np.array([_float_field(text, "pe", args.data) for text in pe_texts])
     if args.noise < 0:
         raise CliError("--noise must be nonnegative")
     if args.seed < 0:
@@ -325,10 +356,10 @@ def _cmd_fit_rabi(args) -> list[str]:
 
 def _cmd_disting(args) -> list[str]:
     cols = ["qubit", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-    rows = _read_csv(args.branches, cols)
+    header, rows = _read_csv(args.branches, cols)
     branches = []
-    for row in rows:
-        vals = [_float_field(row, c, args.branches) for c in cols[1:]]
+    for texts in zip(*_columns(header, rows, cols[1:])):
+        vals = [_float_field(text, c, args.branches) for c, text in zip(cols[1:], texts)]
         mat = np.array(
             [
                 [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
@@ -345,27 +376,27 @@ def _cmd_disting(args) -> list[str]:
 
 
 def _cmd_crosstalk_solve(args) -> list[str]:
-    coeff_rows = _read_csv(args.coeffs, ["i", "j", "alpha"])
-    target_rows = _read_csv(args.targets, ["i", "z_eff"])
+    coeff_header, coeff_rows = _read_csv(args.coeffs, ["i", "j", "alpha"])
+    target_header, target_rows = _read_csv(args.targets, ["i", "z_eff"])
     n = len(target_rows)
     order = []
     z_eff = np.zeros(n)
     index = {}
-    for row in target_rows:
-        i = row["i"]
+    for i, text in zip(*_columns(target_header, target_rows, ["i", "z_eff"])):
         if i in index:
             raise CliError(f"{args.targets}: duplicate qubit index {i}")
         index[i] = len(order)
         order.append(i)
-        z_eff[index[i]] = _float_field(row, "z_eff", args.targets)
+        z_eff[index[i]] = _float_field(text, "z_eff", args.targets)
     coeffs = np.zeros((n, n))
-    for row in coeff_rows:
-        i, j = row["i"], row["j"]
+    cells = zip(*_columns(coeff_header, coeff_rows, ["i", "j", "alpha"]))
+    for row, (i, j, text) in zip(coeff_rows, cells):
         if i not in index or j not in index:
-            raise CliError(f"{args.coeffs}: unknown qubit index in row {row}")
+            shown = _row_dict(coeff_header, row)
+            raise CliError(f"{args.coeffs}: unknown qubit index in row {shown}")
         if i == j:
             raise CliError(f"{args.coeffs}: diagonal coefficient for qubit {i}")
-        coeffs[index[i], index[j]] = _float_field(row, "alpha", args.coeffs)
+        coeffs[index[i], index[j]] = _float_field(text, "alpha", args.coeffs)
     m = calib.assemble_mcor(coeffs)
     z_cmd = calib.commanded_amplitudes(m, z_eff)
     _write_csv(args.out, ["i", "z_cmd"], list(zip(order, z_cmd)))

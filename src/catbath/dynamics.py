@@ -29,11 +29,15 @@ floquet.
 
 Exact propagation is the reference for both.  evolve_excitation_blocks
 applies the sparse Hamiltonian by a Chebyshev series at any register
-size.  It builds the Hamiltonian only on the excitation levels the
-state occupies, since H never leaves a level, and keeps the operator
-of its last call, so a repeated call on the same Hamiltonian and
-levels costs the series alone.  The dense reservoir_hamiltonian with
-hilbert.evolve is kept as the test oracle for small registers.
+size.  It builds the Hamiltonian only on the excitation levels the state
+occupies, since H never leaves a level, and keeps the operator of its
+last call, so a repeated call on the same Hamiltonian and levels costs
+the series alone.  Every exchange term flips one qubit, so H takes the
+rows with an even number of excited qubits to those with an odd number
+and back; at delta = 0 the cat (x) |G> lies on the even rows, and each
+term of the series is a product with half of H.  The dense
+reservoir_hamiltonian with hilbert.evolve is kept as the test oracle for
+small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
 """
@@ -499,8 +503,8 @@ def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray):
     Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
     b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
     lambda_k/2 sqrt(n+1), and delta_k adds to the diagonal.  `rows`
-    must be sorted, nonempty and hold whole excitation levels, so that
-    every partner of a row is itself in `rows`.
+    must be nonempty and hold whole excitation levels, so that every
+    partner of a row is itself in `rows`; their order is free.
     """
     n_q = spec.n_qubits
     width = 2**n_q
@@ -510,7 +514,7 @@ def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray):
     diag = excited @ np.asarray(spec.detunings)
     # a^dag |g><e|_k: photon up, qubit k down
     src, k = np.nonzero(excited & (photons[:, None] + 1 < cutoff))
-    position = np.empty(rows[-1] + 1, dtype=int)  # of each basis index in rows
+    position = np.empty(rows.max() + 1, dtype=int)  # of each basis index in rows
     position[rows] = np.arange(rows.size)
     dst = position[rows[src] + width - qubit_bit[k]]
     amp = np.asarray(spec.couplings)[k] / 2.0 * np.sqrt(photons[src] + 1.0)
@@ -519,16 +523,24 @@ def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray):
 
 @functools.lru_cache(maxsize=1)
 def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
-    """(rows, (c, r, 2H~)): H on the excitation levels flagged in `occupied`.
+    """(rows, operator): H on the excitation levels flagged in `occupied`.
 
     `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
-    operator of the last (spec, cutoff, occupied) is kept, about 1 MiB
-    at N = 8, cutoff 40, so a repeated call on one Hamiltonian and one
-    set of levels skips the build.
+    rows with an even number of excited qubits come first and those
+    with an odd number follow, each in index order: every term of H
+    flips one qubit, so hilbert._chebyshev_operator splits H there.
+    The operator of the last (spec, cutoff, occupied) is kept, about
+    1 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
+    and one set of levels skips the build.
     """
     levels = np.frombuffer(occupied, dtype=bool)
-    rows = np.flatnonzero(levels[_excitation_numbers(spec.n_qubits, cutoff)])
-    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows))
+    excitation = _excitation_numbers(spec.n_qubits, cutoff)
+    rows = np.flatnonzero(levels[excitation])
+    # index n 2^N + b holds m = n + popcount(b) excitations
+    odd = (excitation[rows] - (rows >> spec.n_qubits)) % 2 == 1
+    rows = np.concatenate([rows[~odd], rows[odd]])
+    split = rows.size - np.count_nonzero(odd)
+    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows), split)
 
 
 def evolve_excitation_blocks(
@@ -536,17 +548,20 @@ def evolve_excitation_blocks(
 ) -> StateVector:
     """Exact propagation exp(-iHt) psi of the sparse reservoir Hamiltonian.
 
-    H never couples two total excitation numbers m = a^dag a +
-    sum_k |e><e|_k, so a level where psi is zero stays exactly zero,
-    and the population of each level is conserved without splitting
-    the state into blocks.  H is built by _exchange_terms on the rows
-    of the levels psi occupies only, with at most N + 1 nonzeros per
-    row; it is real, and hilbert._chebyshev_propagate applies it in
-    about r|t| real sparse products per nonzero part (real, imaginary)
-    of the state, r the half-width of the Gershgorin bound on the
-    spectrum of those rows.  A state in low levels thus gets a short
-    series, and a zero state returns zeros.  The operator of the last
-    call is kept, so a call with the same spec, cutoff and occupied
+    H never couples two total excitation numbers m = a^dag a + sum_k
+    |e><e|_k, so a level where psi is zero stays exactly zero, and the
+    population of each level is conserved without splitting the state
+    into blocks.  H is built by _exchange_terms on the rows of the
+    levels psi occupies only, with at most N + 1 nonzeros per row; it is
+    real, and hilbert._chebyshev_propagate applies it in about r|t|
+    terms per nonzero part (real, imaginary) of the state, r the
+    half-width of the Gershgorin bound on the spectrum of those rows.  A
+    state in low levels thus gets a short series, and a zero state
+    returns zeros.  Each term is one real sparse product with the whole
+    H, or with half of it: at delta = 0 H only flips the parity of the
+    number of excited qubits, so a part of the state of one parity, such
+    as the cat (x) |G>, keeps one parity per term.  The operator of the
+    last call is kept, so a call with the same spec, cutoff and occupied
     levels skips the build.  t may be negative; it must be finite.
     """
     _require_finite(t)

@@ -19,6 +19,7 @@ Layouts are qubit (x) boson, qubit first.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ class FloquetParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu <= 0:
             raise ValueError("modulation frequency nu must be positive")
-        ratio = abs(bessel_j(0, self.mu) * self.xi) / self.nu
+        ratio = abs(self._j01[0] * self.xi) / self.nu
         if ratio >= 0.2:
             warnings.warn(
                 f"|J0(mu) xi| / nu = {ratio:.3f} strains the rotating-wave "
@@ -71,6 +72,12 @@ class FloquetParams:
     def mu(self) -> float:
         """Modulation index eps/nu."""
         return self.eps / self.nu
+
+    @functools.cached_property
+    def _j01(self) -> np.ndarray:
+        """J0(mu) and J1(mu) from one sweep, for the rotating-wave check and
+        effective_coupling; not a field, so == and repr ignore it."""
+        return _bessel_orders(1, self.mu)
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -87,7 +94,7 @@ def bessel_j(n: int, x: float) -> float:
 
 def effective_coupling(p: FloquetParams) -> float:
     """First-sideband exchange strength lambda/2 = J1(eps/nu) xi."""
-    return bessel_j(1, p.mu) * p.xi
+    return float(p._j01[1]) * p.xi
 
 
 def stark_shifts(p: FloquetParams, n_max: int = 25) -> tuple[float, float]:

@@ -22,6 +22,13 @@ calls the two halves directly: _rabi_rate once, and _exchange_step for
 its table of offsets within a chunk and at the first time of each
 chunk, the other times following by angle addition.
 
+The Chebyshev propagator takes a real H that is bipartite off its
+diagonal, as the reservoir Hamiltonian is between the rows of even and
+of odd qubit parity.  It keeps 2H~ with its even and its odd rows on
+the same arrays, and a term of the series multiplies only the half of
+a vector that can be nonzero: at zero detuning, a state of one parity
+pays one half-size product per term.
+
 All frequencies are angular (rad/s) and all times are seconds.
 """
 
@@ -322,20 +329,34 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     return j[: n_max + 1]
 
 
-def _chebyshev_operator(diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray):
-    """(c, r, 2H~): the operator that _chebyshev_propagate applies.
+def _chebyshev_operator(
+    diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, split: int
+):
+    """(c, r, (2H~, even rows, odd rows), diagonal): what _chebyshev_propagate applies.
 
     H has the real diagonal `diag` and the real off-diagonal elements
     H[src, dst] = H[dst, src] = amp, each pair listed once; a complex
-    `diag` or `amp` is an error.  [c - r, c + r] is the Gershgorin
-    interval of its spectrum and H~ = (H - c)/r.  The factor 2 of the
-    Chebyshev recurrence is stored in the values of the real CSR
-    matrix 2H~; doubling is exact, so this changes no digit.  Diagonal
-    entries equal to c are zero in H~ and are not stored.  Build it
-    once and apply it at any number of times.
+    `diag` or `amp` is an error.  The rows below `split` are the even
+    half and the others the odd half, and each pair must join one row
+    of each: H is bipartite off its diagonal, and a pair within one
+    half is an error.  [c - r, c + r] is the Gershgorin interval of its
+    spectrum and H~ = (H - c)/r.  In this order
+
+        2H~ = [[D_e, B], [B^T, D_o]],
+
+    a real CSR matrix whose even rows [D_e, B] and odd rows [B^T, D_o]
+    are two more CSR matrices on the same arrays.  B and B^T hold every
+    pair once, so each holds half of the couplings.  The diagonals are
+    2(diag - c)/r, and entries equal to c, which are zero in H~, are not
+    stored: a resonant H stores none, and `diagonal` says whether any
+    entry is stored.  The factor 2 of the Chebyshev recurrence is stored
+    in the values; doubling is exact, so this changes no digit.  Build
+    it once and apply it at any number of times.
     """
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
+    if np.any((src < split) == (dst < split)):
+        raise ValueError("a coupling joins two rows of one parity: H is not bipartite")
     # imported here: the exact block engine is the package's only user of
     # scipy, and a module-level import would load it on every CLI start
     from scipy import sparse
@@ -358,11 +379,19 @@ def _chebyshev_operator(diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp:
         ),
         shape=(dim, dim),
     )
-    return c, r, two_h
+    cut = two_h.indptr[split]
+    even_rows = sparse.csr_matrix(
+        (two_h.data[:cut], two_h.indices[:cut], two_h.indptr[: split + 1]), shape=(split, dim)
+    )
+    odd_rows = sparse.csr_matrix(
+        (two_h.data[cut:], two_h.indices[cut:], two_h.indptr[split:] - cut),
+        shape=(dim - split, dim),
+    )
+    return c, r, (two_h, even_rows, odd_rows), shifted.size > 0
 
 
 def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
-    """exp(-iHt) x for the (c, r, 2H~) of _chebyshev_operator, by a Chebyshev series.
+    """exp(-iHt) x for the operator of _chebyshev_operator, by a Chebyshev series.
 
     exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
@@ -370,15 +399,22 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     three-term recurrence T_k = 2H~ T_(k-1) - T_(k-2) runs in real
     arithmetic on the real and on the imaginary part of x, and each
     part's even and odd terms are summed separately and combined once
-    at the end.  A part of x that is all zero is skipped.  The series
-    stops at the last term whose coefficient exceeds _CHEBYSHEV_TOL;
-    J_k(rt) falls off faster than exponentially once k > |rt|.  Only
-    2H~ v products are formed, so the cost is about r|t| real sparse
-    products per nonzero part of x, each of one pass over the stored
-    entries of 2H~.  t may be negative.
+    at the end.  A part of x that is all zero is skipped.
+
+    Each vector of the recurrence is a pair (even half, odd half), its
+    rows below and from the operator's split.  Without a diagonal, 2H~
+    takes each half to the other, so a part of x on one half puts T_k on
+    that half for even k and on the other half for odd k.  A half known
+    to be zero is neither multiplied nor added: each term is then one
+    product with the even or the odd rows of 2H~, which hold half of the
+    couplings.  A part of x on both halves, or a diagonal, which mixes
+    the halves within two terms, keeps both halves live, and each term
+    is one product with 2H~.  The series stops at the last term whose
+    coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster than
+    exponentially once k > |rt|, so the cost is about r|t| terms per
+    nonzero part of x.  t may be negative.
     """
-    c, r, two_h = operator
-    dim = x.size
+    c, r, (two_h, even_rows, odd_rows), diagonal = operator
     z = r * t
     # J_k(z) dies past the Airy transition, about |z|^(1/3) wide beyond
     # k = |z|; at this length it is below 1e-27 for |z| up to 1e6, so the
@@ -388,20 +424,36 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     sign = np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
     coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)
     coef = coef[: np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1]
+    dim, split = x.size, even_rows.shape[0]
+    # a set of live halves is a mask, 1 the even half and 2 the odd one,
+    # and it occupies one slice of a vector; the rows of 2H~ that give one half
+    span = (None, slice(0, split), slice(split, dim), slice(0, dim))
+    half_rows = (None, even_rows, odd_rows)
     term = np.empty(dim)  # c_k T_k v
 
     def series(v):
         """[even, odd]: sum_k coef_k T_k(H~) v over even and over odd k."""
         sums = [coef[0] * v, np.zeros(dim)]
-        prev, cur = None, v
+        # views on each set of live halves, so the in-place steps copy nothing
+        sum_views = [[None] + [s[held] for held in span[1:]] for s in sums]
+        term_views = [None] + [term[held] for held in span[1:]]
+        live = 3 if diagonal else bool(v[:split].any()) | 2 * bool(v[split:].any())
+        prev_view, cur, cur_view = None, v, v[span[live]]
         for k, ck in enumerate(coef[1:], 1):
-            nxt = two_h @ cur
+            # each live half feeds the other; T_(k-2)'s halves are those of T_k
+            live = (live & 1) << 1 | live >> 1
+            if live == 3:
+                nxt = view = two_h @ cur
+            else:
+                nxt = np.empty(dim)
+                view = nxt[span[live]]
+                view[:] = half_rows[live] @ cur
             if k == 1:  # T_1 = H~ T_0
-                nxt *= 0.5
+                view *= 0.5
             else:  # T_k = 2 H~ T_(k-1) - T_(k-2), in place
-                nxt -= prev
-            prev, cur = cur, nxt
-            sums[k % 2] += np.multiply(ck, cur, out=term)
+                view -= prev_view
+            prev_view, cur, cur_view = cur_view, nxt, view
+            sum_views[k % 2][live] += np.multiply(ck, view, out=term_views[live])
         return sums
 
     # the odd terms carry the factor -i of (-i)^k

@@ -859,3 +859,77 @@ def test_no_or_unknown_command_exits_1_with_usage(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: catbath [-h]\n")
     assert "\ncatbath: error: " in err
+
+
+def _rabi_text(rows: int = 40) -> list[str]:
+    taus = np.linspace(0.0, 200.0, rows)
+    trace = synthesize_rabi(np.array([0.3, 0.7]), 19.8 * MHZ, taus * NS)
+    return [f"{t!r},{p!r}" for t, p in zip(taus.tolist(), trace.pe.tolist())]
+
+
+def _fit_rabi(tmp_path, text: str, name: str) -> tuple[int, str]:
+    data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+    data.write_text(text)
+    rc = main(["fit-rabi", "--data", str(data), "--xi-mhz", "19.8", "--n-max", "2",
+               "--out", str(out)])
+    return rc, out.read_text() if out.exists() else ""
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ["blank lines", "extra cells", "repeated column", "crlf"],
+)
+def test_csv_input_read_as_dict_reader_reads_it(tmp_path, variant):
+    # blank lines are skipped, cells past the header are ignored, and a
+    # repeated column name reads its last cell
+    lines = _rabi_text()
+    rc, plain = _fit_rabi(tmp_path, "tau_ns,pe\n" + "\n".join(lines) + "\n", "plain")
+    assert rc == 0 and plain
+    text = {
+        "blank lines": "tau_ns,pe\n\n" + "\n\n".join(lines) + "\n\n\n",
+        "extra cells": "tau_ns,pe\n" + "\n".join(f"{line},x,,7" for line in lines) + "\n",
+        "repeated column": "pe,tau_ns,pe\n"
+        + "\n".join(f"junk,{line}" for line in lines) + "\n",
+        "crlf": "tau_ns,pe\r\n" + "\r\n".join(lines) + "\r\n",
+    }[variant]
+    assert _fit_rabi(tmp_path, text, "variant") == (0, plain)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tau_ns,pe\n0,0.1\n10\n20,0.3\n", "bad value for pe: None"),
+        ("tau_ns,pe\n0,0.1\n,0.2\n", "bad value for tau_ns: ''"),
+        ("tau_ns,pe\n0,0.1\n10,inf\n", "non-finite value for pe: 'inf'"),
+        ("tau_ns,pe\n0,0.1\n10,x\n20,nan\n", "bad value for pe: 'x'"),
+        ("tau_ns,pe\n0,0.1\n10,nan\nx,0.2\n", "bad value for tau_ns: 'x'"),
+        ("", "empty file, expected header ['tau_ns', 'pe']"),
+        ("\ntau_ns,pe\n0,0.1\n", "missing columns ['tau_ns', 'pe']"),
+        ("tau,pe\n0,0.1\n", "missing columns ['tau_ns']"),
+    ],
+)
+def test_csv_input_errors_keep_their_messages(tmp_path, capsys, text, message):
+    # a short row reads None past its end; the taus are parsed before the
+    # populations, each in row order
+    rc, out = _fit_rabi(tmp_path, text, "bad")
+    assert rc == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "row, shown",
+    [
+        ("0,9,0.1", "{'i': '0', 'j': '9', 'alpha': '0.1'}"),
+        ("0,9,0.1,x", "{'i': '0', 'j': '9', 'alpha': '0.1', None: ['x']}"),
+        ("0", "{'i': '0', 'j': None, 'alpha': None}"),
+    ],
+)
+def test_crosstalk_unknown_index_shows_the_row(tmp_path, capsys, row, shown):
+    coeffs, targets = tmp_path / "c.csv", tmp_path / "t.csv"
+    coeffs.write_text(f"i,j,alpha\n{row}\n")
+    targets.write_text("i,z_eff\n0,0.1\n1,0.2\n")
+    rc = main(["crosstalk-solve", "--coeffs", str(coeffs), "--targets", str(targets),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert f"unknown qubit index in row {shown}" in capsys.readouterr().err

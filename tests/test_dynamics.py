@@ -12,6 +12,7 @@ from catbath.analysis import von_neumann_entropy
 from catbath.dynamics import (
     _TIME_CHUNK,
     ReservoirSpec,
+    _level_operator,
     analytic_joint_state,
     analytic_qubit_states,
     branch_amplitudes,
@@ -28,6 +29,7 @@ from catbath.hilbert import (
     StateVector,
     TruncationWarning,
     _chebyshev_operator,
+    _chebyshev_propagate,
     coherent_state,
     evolve,
     fidelity,
@@ -361,6 +363,87 @@ def test_engine_matches_block_eigh_oracle_n8():
     assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, single, 1e-6))) < 1e-12
 
 
+def test_resonant_engine_matches_block_eigh_oracle_n8():
+    # at delta = 0, H has no diagonal and takes each qubit-parity half to
+    # the other: the cat (x) |G> lies on the even half, so each term is one
+    # half-size product, and a random complex state fills both halves
+    spec = table_spec(8)
+    cutoff = 20
+    cat = cat_with_ground_qubits(ALPHA, spec, cutoff)
+    mixed = _random_state(cat.layout, 88)
+    for psi0, t in ((cat, 7.8 * NS), (cat, 155.4 * NS), (mixed, 61.3 * NS)):
+        out = evolve_excitation_blocks(spec, psi0, t, cutoff)
+        assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, psi0, t))) < 1e-12
+
+
+def test_resonant_operator_stores_no_diagonal_and_half_the_couplings():
+    # N = 8, cutoff 40, the levels of the cat: 2H~ stores 72 704 couplings
+    spec = table_spec(8)
+    cutoff = 40
+    levels = np.arange(cutoff + 8) < cutoff
+    rows, operator = _level_operator(spec, cutoff, levels.tobytes())
+    c, r, (two_h, even_rows, odd_rows), diagonal = operator
+    split = even_rows.shape[0]
+    assert c == 0.0 and not diagonal
+    assert two_h.nnz == 72_704
+    assert even_rows.nnz == odd_rows.nnz == two_h.nnz // 2
+    # B reads only the odd half and B^T only the even half
+    assert np.all(even_rows.indices >= split) and np.all(odd_rows.indices < split)
+    # the halves are the rows of even and of odd qubit parity, each in order
+    parity = np.array([bin(b).count("1") % 2 for b in range(2**8)])[rows % 2**8]
+    assert np.all(parity[:split] == 0) and np.all(parity[split:] == 1)
+    assert np.all(np.diff(rows[:split]) > 0) and np.all(np.diff(rows[split:]) > 0)
+    # the row blocks are views of 2H~'s arrays, not copies
+    for block in (even_rows, odd_rows):
+        assert np.shares_memory(block.data, two_h.data)
+        assert np.shares_memory(block.indices, two_h.indices)
+
+
+def test_detuned_operator_keeps_each_halfs_diagonal():
+    # a detuning on one qubit gives H a diagonal, and 2H~ stores entries of
+    # it in the rows of both halves
+    spec = ReservoirSpec(table_spec(3).couplings, (0.0, 2.0 * MHZ, 0.0), N_MEAN)
+    cutoff = 6
+    levels = np.ones(cutoff + 3, dtype=bool)
+    _, (c, r, (two_h, even_rows, odd_rows), diagonal) = _level_operator(
+        spec, cutoff, levels.tobytes()
+    )
+    split = even_rows.shape[0]
+    assert diagonal
+    assert np.any(even_rows.indices < split) and np.any(odd_rows.indices >= split)
+    layout = SpaceLayout((cutoff,) + (2,) * 3)
+    psi0 = _random_state(layout, 3)
+    dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, 47.0 * NS)
+    out = evolve_excitation_blocks(spec, psi0, 47.0 * NS, cutoff)
+    assert np.max(np.abs(out.amps - dense.amps)) < 1e-12
+
+
+@pytest.mark.parametrize("half", ["even", "odd"])
+def test_chebyshev_series_on_one_half(half):
+    # a path of four rows, 0-2-1-3, with rows 0 and 1 the even half: a
+    # vector on one half runs on alternating halves, both starts agree with
+    # the dense exponential, and with a diagonal both halves fill in
+    src, dst = np.array([0, 2, 1]), np.array([2, 1, 3])
+    amp = np.array([0.7, -1.3, 0.4])
+    x = np.zeros(4)
+    x[[0, 1] if half == "even" else [2, 3]] = [0.6, -0.8]
+    for diag in (np.zeros(4), np.array([0.0, 0.3, -0.2, 0.0])):
+        h = np.diag(diag)
+        h[src, dst] = h[dst, src] = amp
+        w, v = np.linalg.eigh(h)
+        for t in (0.9, -4.2, 30.0):
+            want = v @ (np.exp(-1j * w * t) * (v.T @ x))
+            got = _chebyshev_propagate(_chebyshev_operator(diag, src, dst, amp, 2), t, x)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_chebyshev_rejects_a_coupling_within_one_parity():
+    # rows 0 and 1 are the even half, rows 2 and 3 the odd one
+    for src, dst in ((0, 1), (3, 2)):
+        with pytest.raises(ValueError, match="two rows of one parity"):
+            _chebyshev_operator(np.zeros(4), np.array([src]), np.array([dst]), np.array([0.5]), 2)
+
+
 def test_engine_long_time_matches_dense():
     # tripled couplings take the series to about a thousand terms at 1 us
     lams = tuple(3.0 * lam for lam in table_spec(2).couplings)
@@ -399,11 +482,12 @@ def _excitation(layout: SpaceLayout) -> np.ndarray:
 
 
 @pytest.mark.parametrize("part", ["real", "imaginary", "mixed", "level-1", "level-cutoff"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_engine_state_parts_match_dense(part, n):
     # a purely real or imaginary state skips one of the two real series; a
     # state in one excitation level runs on that level's rows only, also a
-    # level m >= cutoff, and every other level stays exactly zero
+    # level m >= cutoff, and every other level stays exactly zero; at N = 1
+    # level cutoff is the one row |cutoff - 1, e>, so the even half is empty
     spec = ReservoirSpec(
         table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
     )
@@ -463,7 +547,7 @@ def test_chebyshev_rejects_complex_hamiltonian(arg):
     args = {"diag": np.zeros(3), "amp": np.array([0.5])}
     args[arg] = args[arg].astype(complex)
     with pytest.raises(ValueError, match="real symmetric"):
-        _chebyshev_operator(args["diag"], np.array([0]), np.array([1]), args["amp"])
+        _chebyshev_operator(args["diag"], np.array([0]), np.array([1]), args["amp"], 1)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

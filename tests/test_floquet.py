@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -272,3 +273,40 @@ def test_params_reject_non_finite(field, bad):
     kwargs[field] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         FloquetParams(**kwargs)
+
+
+def test_one_bessel_sweep_per_qubit(monkeypatch):
+    # J0 for the rotating-wave check and J1 for lambda come from one sweep:
+    # the N = 8 reservoir of the device makes 8 sweeps, not 16
+    from catbath import cli, floquet
+
+    cfg = load_config(DEVICE_YAML)
+    calls = []
+
+    def counted(n_max, x):
+        calls.append((n_max, x))
+        return _bessel_orders(n_max, x)
+
+    monkeypatch.setattr(floquet, "_bessel_orders", counted)
+    spec = cli._reservoir_from_config(cfg, 8)
+    assert len(calls) == 8
+    assert all(n_max == 1 for n_max, _ in calls)
+    # lambda is J1(mu) xi of its own sweep, bit for bit
+    for q, lam in zip(cfg.qubits, spec.couplings):
+        p = q.floquet_params()
+        assert lam == 2.0 * abs(float(_bessel_orders(1, p.mu)[1]) * p.xi)
+        assert effective_coupling(p) == bessel_j(1, p.mu) * p.xi
+
+
+def test_floquet_params_fields_equality_and_repr_ignore_the_sweep():
+    a = FloquetParams(xi=19.6 * MHZ, eps=81.5 * MHZ, nu=190.0 * MHZ, K=250.0 * MHZ, name="R1")
+    b = FloquetParams(xi=19.6 * MHZ, eps=81.5 * MHZ, nu=190.0 * MHZ, K=250.0 * MHZ, name="R1")
+    effective_coupling(a)  # a has used its sweep, b has not
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "xi", "eps", "nu", "delta", "K", "name"
+    ]
+    assert repr(a) == (
+        f"FloquetParams(xi={19.6 * MHZ!r}, eps={81.5 * MHZ!r}, nu={190.0 * MHZ!r}, "
+        f"delta=0.0, K={250.0 * MHZ!r}, name='R1')"
+    )
