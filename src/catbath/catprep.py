@@ -74,11 +74,13 @@ def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -
     if cutoff < N_STAR:
         raise ValueError(f"cutoff {cutoff} below operational cutoff {N_STAR}")
     alpha = complex(spec.alpha)
-    norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[::2] = 2.0 * norm_plus * _coherent_amplitudes(alpha / 2.0, cutoff + 1)[::2]
     if renormalize:
-        amps = amps / np.linalg.norm(amps)
+        # relative magnitudes: the norm of the true ones underflows at large |alpha|
+        amps[::2] = _coherent_amplitudes(alpha / 2.0, cutoff + 1, relative=True)[::2]
+        return amps / np.linalg.norm(amps)
+    norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
+    amps[::2] = 2.0 * norm_plus * _coherent_amplitudes(alpha / 2.0, cutoff + 1)[::2]
     return amps
 
 

@@ -168,6 +168,9 @@ def parse_config(data: dict) -> DeviceConfig:
         if points > 1 and lo >= hi:
             raise ConfigError(f"scenario.wigner_grid: {axis}_min {lo!r} >= {axis}_max {hi!r}")
     scenario = ScenarioConfig(wigner_grid=wg, **_fields(ScenarioConfig, sc, "scenario"))
+    # <n> = alpha^2; a float ** 2 past the range raises, a product gives inf
+    if not math.isfinite(scenario.alpha * scenario.alpha):
+        raise ConfigError(f"scenario.alpha: {scenario.alpha!r} squared is past the float range")
     if scenario.dt_ns <= 0:
         raise ConfigError("scenario.dt_ns: must be positive")
     if scenario.t_max_ns <= 0:

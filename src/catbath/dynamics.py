@@ -32,12 +32,11 @@ applies the sparse Hamiltonian by a Chebyshev series at any register
 size.  It builds the Hamiltonian only on the excitation levels the state
 occupies, since H never leaves a level, and keeps the operator of its
 last call, so a repeated call on the same Hamiltonian and levels costs
-the series alone.  Every exchange term flips one qubit, so H takes the
-rows with an even number of excited qubits to those with an odd number
-and back; at delta = 0 the cat (x) |G> lies on the even rows, and each
-term of the series is a product with half of H.  The dense
-reservoir_hamiltonian with hilbert.evolve is kept as the test oracle for
-small registers.
+the series alone.  Its rows are in the qubit-parity order of the split
+that hilbert._chebyshev_operator explains: at delta = 0 the cat (x) |G>
+lies on the even half, and each term of the series is one half-size
+product.  The dense reservoir_hamiltonian with hilbert.evolve is kept
+as the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
 """
@@ -527,8 +526,8 @@ def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
 
     `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
     rows with an even number of excited qubits come first and those
-    with an odd number follow, each in index order: every term of H
-    flips one qubit, so hilbert._chebyshev_operator splits H there.
+    with an odd number follow, each in index order: the parity split of
+    hilbert._chebyshev_operator, at `split`.
     The operator of the last (spec, cutoff, occupied) is kept, about
     1 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
     and one set of levels skips the build.
@@ -554,15 +553,15 @@ def evolve_excitation_blocks(
     into blocks.  H is built by _exchange_terms on the rows of the
     levels psi occupies only, with at most N + 1 nonzeros per row; it is
     real, and hilbert._chebyshev_propagate applies it in about r|t|
-    terms per nonzero part (real, imaginary) of the state, r the
-    half-width of the Gershgorin bound on the spectrum of those rows.  A
-    state in low levels thus gets a short series, and a zero state
-    returns zeros.  Each term is one real sparse product with the whole
-    H, or with half of it: at delta = 0 H only flips the parity of the
-    number of excited qubits, so a part of the state of one parity, such
-    as the cat (x) |G>, keeps one parity per term.  The operator of the
-    last call is kept, so a call with the same spec, cutoff and occupied
-    levels skips the build.  t may be negative; it must be finite.
+    terms, r the half-width of the Gershgorin bound on the spectrum of
+    those rows.  A state in low levels thus gets a short series, and a
+    zero state returns zeros.  Each term is one real sparse product per
+    nonzero part (real, imaginary) of the state: at delta = 0 a
+    half-size product per qubit-parity half the part occupies (the cat
+    (x) |G> occupies one), and otherwise one with the whole H (see
+    hilbert._chebyshev_operator).  The operator of the last call is
+    kept, so a call with the same spec, cutoff and occupied levels skips
+    the build.  t may be negative; it must be finite.
     """
     _require_finite(t)
     layout = _layout(spec, cutoff)

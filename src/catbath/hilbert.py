@@ -24,10 +24,8 @@ chunk, the other times following by angle addition.
 
 The Chebyshev propagator takes a real H that is bipartite off its
 diagonal, as the reservoir Hamiltonian is between the rows of even and
-of odd qubit parity.  It keeps 2H~ with its even and its odd rows on
-the same arrays, and a term of the series multiplies only the half of
-a vector that can be nonzero: at zero detuning, a state of one parity
-pays one half-size product per term.
+of odd qubit parity; _chebyshev_operator explains how it uses that
+split.
 
 All frequencies are angular (rad/s) and all times are seconds.
 """
@@ -184,16 +182,21 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+def _coherent_amplitudes(alpha: complex, cutoff: int, relative: bool = False) -> np.ndarray:
     """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff, not renormalized.
 
-    Evaluated in log space, so neither alpha^n nor n! overflows.
+    Evaluated in log space, so neither alpha^n nor n! overflows.  With
+    `relative` the magnitudes are taken relative to the largest, which
+    is 1, for a renormalization: their norm cannot underflow, as that of
+    the true amplitudes does far past the cutoff's reach (at |alpha| =
+    35, cutoff 40, they are near 1e-229 and their squares 0).
     """
     if alpha == 0:
         return np.eye(1, cutoff, dtype=complex)[0]
     n = np.arange(cutoff)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff, dtype=float))]))
-    log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact - abs(alpha) ** 2 / 2.0
+    log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact
+    log_mag -= log_mag.max() if relative else abs(alpha) ** 2 / 2.0
     return np.exp(log_mag) * np.exp(1j * np.angle(complex(alpha)) * n)
 
 
@@ -201,19 +204,21 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Coherent state |alpha> truncated at `cutoff` Fock levels.
 
     The amplitudes of _coherent_amplitudes, renormalized after
-    truncation.  Emits a TruncationWarning when the neglected Poisson
-    tail 1 - sum_n |amps[n]|^2 exceeds _TAIL_TOL.
+    truncation from their values relative to the largest, so the state
+    stays finite at any |alpha|.  Emits a TruncationWarning when the
+    neglected Poisson tail 1 - sum_n |amps[n]|^2 of the true amplitudes
+    exceeds _TAIL_TOL.
     """
     if cutoff < 1:
         raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
-    amps = _coherent_amplitudes(alpha, cutoff)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(_coherent_amplitudes(alpha, cutoff)) ** 2)))
     if tail > _TAIL_TOL:
         warnings.warn(
             f"coherent state truncation tail {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e} "
             f"at cutoff {cutoff}",
             TruncationWarning,
         )
+    amps = _coherent_amplitudes(alpha, cutoff, relative=True)
     return StateVector(SpaceLayout((cutoff,)), amps / np.linalg.norm(amps))
 
 
@@ -332,26 +337,38 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
 def _chebyshev_operator(
     diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, split: int
 ):
-    """(c, r, (2H~, even rows, odd rows), diagonal): what _chebyshev_propagate applies.
+    """(c, r, starts): the operator that _chebyshev_propagate applies.
 
     H has the real diagonal `diag` and the real off-diagonal elements
     H[src, dst] = H[dst, src] = amp, each pair listed once; a complex
-    `diag` or `amp` is an error.  The rows below `split` are the even
-    half and the others the odd half, and each pair must join one row
-    of each: H is bipartite off its diagonal, and a pair within one
-    half is an error.  [c - r, c + r] is the Gershgorin interval of its
-    spectrum and H~ = (H - c)/r.  In this order
+    `diag` or `amp` is an error.  [c - r, c + r] is the Gershgorin
+    interval of its spectrum and H~ = (H - c)/r.  The values stored are
+    those of 2H~, the recurrence's factor 2 included (doubling is exact),
+    without the diagonal entries equal to c, which are zero in H~.
+    Build it once and apply it at any number of times.
 
-        2H~ = [[D_e, B], [B^T, D_o]],
+    The parity split.  The rows below `split` are the even half and the
+    others the odd half, and each pair must join one row of each (a pair
+    within one half is an error): H is bipartite off its diagonal, as
+    the reservoir Hamiltonian is between the rows with an even and an
+    odd number of excited qubits (each exchange term flips one qubit).
+    In this order
 
-    a real CSR matrix whose even rows [D_e, B] and odd rows [B^T, D_o]
-    are two more CSR matrices on the same arrays.  B and B^T hold every
-    pair once, so each holds half of the couplings.  The diagonals are
-    2(diag - c)/r, and entries equal to c, which are zero in H~, are not
-    stored: a resonant H stores none, and `diagonal` says whether any
-    entry is stored.  The factor 2 of the Chebyshev recurrence is stored
-    in the values; doubling is exact, so this changes no digit.  Build
-    it once and apply it at any number of times.
+        2H~ = [[D_e, B], [B^T, D_o]].
+
+    With no diagonal stored (a resonant H), 2H~ takes each half to the
+    other, so a vector v on the even half has T_k(H~) v on the even half
+    for even k and on the odd half for odd k, and the recurrence runs on
+    half-length vectors with the half-size B (even k) and B^T (odd k);
+    from the odd half it runs with the two swapped.  A start is (its
+    rows, the other half's rows, (matrix for even k, matrix for odd k)):
+
+        (even rows, odd rows, (B, B^T)) and (odd rows, even rows, (B^T, B)).
+
+    B and B^T are the even and the odd rows of one CSR build, on its
+    arrays, with B's columns counted from the first odd row; no whole
+    2H~ is kept.  A stored diagonal mixes the halves within two terms,
+    so its one start is all rows, with (2H~, 2H~).
     """
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
@@ -379,15 +396,20 @@ def _chebyshev_operator(
         ),
         shape=(dim, dim),
     )
-    cut = two_h.indptr[split]
-    even_rows = sparse.csr_matrix(
-        (two_h.data[:cut], two_h.indices[:cut], two_h.indptr[: split + 1]), shape=(split, dim)
+    if shifted.size:
+        rows = slice(0, dim)
+        return c, r, ((rows, rows, (two_h, two_h)),)
+    data, indices, indptr = two_h.data, two_h.indices, two_h.indptr
+    cut = indptr[split]
+    indices[:cut] -= split  # B's columns, counted from the first odd row
+    b = sparse.csr_matrix(
+        (data[:cut], indices[:cut], indptr[: split + 1]), shape=(split, dim - split)
     )
-    odd_rows = sparse.csr_matrix(
-        (two_h.data[cut:], two_h.indices[cut:], two_h.indptr[split:] - cut),
-        shape=(dim - split, dim),
+    b_t = sparse.csr_matrix(
+        (data[cut:], indices[cut:], indptr[split:] - cut), shape=(dim - split, split)
     )
-    return c, r, (two_h, even_rows, odd_rows), shifted.size > 0
+    even, odd = slice(0, split), slice(split, dim)
+    return c, r, ((even, odd, (b, b_t)), (odd, even, (b_t, b)))
 
 
 def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
@@ -396,25 +418,17 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
     real, and (-i)^k is real for even k and imaginary for odd k, so the
-    three-term recurrence T_k = 2H~ T_(k-1) - T_(k-2) runs in real
-    arithmetic on the real and on the imaginary part of x, and each
-    part's even and odd terms are summed separately and combined once
-    at the end.  A part of x that is all zero is skipped.
-
-    Each vector of the recurrence is a pair (even half, odd half), its
-    rows below and from the operator's split.  Without a diagonal, 2H~
-    takes each half to the other, so a part of x on one half puts T_k on
-    that half for even k and on the other half for odd k.  A half known
-    to be zero is neither multiplied nor added: each term is then one
-    product with the even or the odd rows of 2H~, which hold half of the
-    couplings.  A part of x on both halves, or a diagonal, which mixes
-    the halves within two terms, keeps both halves live, and each term
-    is one product with 2H~.  The series stops at the last term whose
+    three-term recurrence runs in real arithmetic, once for each piece
+    of x: its real and its imaginary part on the rows of each start of
+    the operator (see _chebyshev_operator for the parity split).  A
+    piece that is all zero is skipped.  Its even terms land on the
+    start's rows, and its odd terms, which carry the factor -i, on the
+    other half's rows.  The series stops at the last term whose
     coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster than
     exponentially once k > |rt|, so the cost is about r|t| terms per
-    nonzero part of x.  t may be negative.
+    nonzero piece.  t may be negative.
     """
-    c, r, (two_h, even_rows, odd_rows), diagonal = operator
+    c, r, starts = operator
     z = r * t
     # J_k(z) dies past the Airy transition, about |z|^(1/3) wide beyond
     # k = |z|; at this length it is below 1e-27 for |z| up to 1e6, so the
@@ -423,46 +437,33 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     # (-i)^k is sign_k for even k and -i sign_k for odd k
     sign = np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
     coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)
-    coef = coef[: np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1]
-    dim, split = x.size, even_rows.shape[0]
-    # a set of live halves is a mask, 1 the even half and 2 the odd one,
-    # and it occupies one slice of a vector; the rows of 2H~ that give one half
-    span = (None, slice(0, split), slice(split, dim), slice(0, dim))
-    half_rows = (None, even_rows, odd_rows)
-    term = np.empty(dim)  # c_k T_k v
-
-    def series(v):
-        """[even, odd]: sum_k coef_k T_k(H~) v over even and over odd k."""
-        sums = [coef[0] * v, np.zeros(dim)]
-        # views on each set of live halves, so the in-place steps copy nothing
-        sum_views = [[None] + [s[held] for held in span[1:]] for s in sums]
-        term_views = [None] + [term[held] for held in span[1:]]
-        live = 3 if diagonal else bool(v[:split].any()) | 2 * bool(v[split:].any())
-        prev_view, cur, cur_view = None, v, v[span[live]]
-        for k, ck in enumerate(coef[1:], 1):
-            # each live half feeds the other; T_(k-2)'s halves are those of T_k
-            live = (live & 1) << 1 | live >> 1
-            if live == 3:
-                nxt = view = two_h @ cur
-            else:
-                nxt = np.empty(dim)
-                view = nxt[span[live]]
-                view[:] = half_rows[live] @ cur
-            if k == 1:  # T_1 = H~ T_0
-                view *= 0.5
-            else:  # T_k = 2 H~ T_(k-1) - T_(k-2), in place
-                view -= prev_view
-            prev_view, cur, cur_view = cur_view, nxt, view
-            sum_views[k % 2][live] += np.multiply(ck, view, out=term_views[live])
-        return sums
-
-    # the odd terms carry the factor -i of (-i)^k
-    out = np.zeros(dim, dtype=complex)
+    # at least T_0 and T_1, so the recurrence below always has its start
+    coef = coef[: max(np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1, 2)]
+    out = np.zeros(x.size, dtype=complex)
     for part, unit in ((x.real, 1.0), (x.imag, 1j)):
-        if part.any():
-            even, odd = series(part)
-            out += unit * (even - 1j * odd)
+        for here, there, mats in starts:
+            v = part[here]
+            if v.any():
+                even, odd = _chebyshev_sums(mats, coef, v)
+                out[here] += unit * even
+                out[there] += -1j * unit * odd
     return np.exp(-1j * c * t) * out
+
+
+def _chebyshev_sums(mats, coef, v):
+    """[sum over even k, sum over odd k] of coef_k T_k(H~) v.
+
+    T_1 = (1/2) mats[1] v and T_k = mats[k % 2] T_(k-1) - T_(k-2), with
+    mats the (even k, odd k) pair of 2H~ of one start.
+    """
+    prev, cur = v, 0.5 * (mats[1] @ v)
+    sums = [coef[0] * prev, coef[1] * cur]
+    for k in range(2, coef.size):
+        nxt = mats[k % 2] @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        sums[k % 2] += coef[k] * cur
+    return sums
 
 
 def evolve(H: OperatorMatrix, psi: StateVector, t: float) -> StateVector:

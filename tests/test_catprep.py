@@ -239,3 +239,13 @@ def test_phase_cat_parity_before_displacement():
     boson = psi.amps[:7]
     parity = np.sum(np.where(np.arange(7) % 2 == 0, 1.0, -1.0) * np.abs(boson) ** 2)
     assert parity == pytest.approx(1.0, abs=1e-9)
+
+
+def test_renormalized_cat_far_past_the_cutoff_is_finite():
+    # at alpha = 1e5 every true amplitude of u(alpha/2) is 0; the
+    # renormalized target is still the even cat, weighted to its top level
+    c = cat_fock_amplitudes(CatSpec(alpha=1.0e5), 6, renormalize=True)
+    assert np.all(np.isfinite(c)) and np.linalg.norm(c) == pytest.approx(1.0, abs=1e-15)
+    assert np.all(c[1::2] == 0.0)
+    assert np.allclose(c[4] / c[6], np.sqrt(6 * 5) / (0.5e5) ** 2, rtol=1e-12)
+    assert np.all(np.isfinite(target_state(CatSpec(alpha=1.0e5)).amps))

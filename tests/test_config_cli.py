@@ -351,6 +351,55 @@ def test_config_rejects_mhz_past_the_rad_per_s_range(tmp_path, capsys, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [1.0e160, -1.0e160])
+def test_config_rejects_alpha_whose_square_is_past_the_float_range(tmp_path, capsys, alpha):
+    # <n> = alpha^2: 1e160 is finite, its square is not
+    import copy
+
+    data = copy.deepcopy(CONFIG)
+    data["scenario"]["alpha"] = alpha
+    path = tmp_path / "big.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for argv in (["decohere", "--out", str(tmp_path / "d.csv")],
+                 ["prep-cat", "--steps-out", str(tmp_path / "s.csv"),
+                  "--fock-out", str(tmp_path / "f.csv")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: scenario.alpha: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _device_with_alpha(tmp_path, alpha: float) -> str:
+    data = yaml.safe_load(DEVICE_YAML.read_text())
+    data["scenario"]["alpha"] = alpha
+    path = tmp_path / "alpha.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def _all_cells_finite(path) -> bool:
+    return all(math.isfinite(float(cell)) for row in read_rows(path) for cell in row.values())
+
+
+@pytest.mark.parametrize("alpha", [35.0, 1.0e5])
+def test_alpha_far_past_the_cutoff_gives_finite_output(tmp_path, alpha):
+    # |alpha> past the cutoff's reach: the squares of its amplitudes
+    # underflow, but every command writes finite cells, exits 0 and
+    # reports the truncation
+    path = _device_with_alpha(tmp_path, alpha)
+    d, w, s, f = (str(tmp_path / name) for name in ("d.csv", "w.csv", "s.csv", "f.csv"))
+    assert main(["decohere", "--config", path, "--n-qubits", "8", "--t-max", "4", "--dt", "1",
+                 "--out", d]) == 0
+    assert main(["wigner", "--config", path, "--time", "3", "--out", w]) == 0
+    written = [d, w]
+    if alpha == 1.0e5:
+        assert main(["prep-cat", "--config", path, "--steps-out", s, "--fock-out", f]) == 0
+        written += [s, f]
+    for out in written:
+        assert _all_cells_finite(out)
+    log = (tmp_path / "d.csv.warnings.log").read_text()
+    assert "TruncationWarning x1: coherent state truncation tail 1.000e+00" in log
+
+
 def _unordered_grid(axis: str, lo: float, hi: float) -> dict:
     import copy
 

@@ -377,40 +377,49 @@ def test_resonant_engine_matches_block_eigh_oracle_n8():
 
 
 def test_resonant_operator_stores_no_diagonal_and_half_the_couplings():
-    # N = 8, cutoff 40, the levels of the cat: 2H~ stores 72 704 couplings
+    # N = 8, cutoff 40, the levels of the cat: 2H~ stores 72 704 couplings,
+    # kept as B (the even rows) and B^T (the odd rows), with no whole 2H~
     spec = table_spec(8)
     cutoff = 40
     levels = np.arange(cutoff + 8) < cutoff
-    rows, operator = _level_operator(spec, cutoff, levels.tobytes())
-    c, r, (two_h, even_rows, odd_rows), diagonal = operator
-    split = even_rows.shape[0]
-    assert c == 0.0 and not diagonal
-    assert two_h.nnz == 72_704
-    assert even_rows.nnz == odd_rows.nnz == two_h.nnz // 2
-    # B reads only the odd half and B^T only the even half
-    assert np.all(even_rows.indices >= split) and np.all(odd_rows.indices < split)
+    rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    (even, odd, (b, b_t)), (odd_start, even_other, odd_mats) = starts
+    split, dim = b.shape[0], rows.size
+    assert c == 0.0
+    assert (even, odd) == (slice(0, split), slice(split, dim))
+    assert (odd_start, even_other) == (odd, even)
+    assert odd_mats[0] is b_t and odd_mats[1] is b
+    assert b.shape == (split, dim - split) and b_t.shape == (dim - split, split)
+    assert b.nnz == b_t.nnz == 36_352 and b.nnz + b_t.nnz == 72_704
+    # B's columns count from the odd half's first row, and B^T is its transpose
+    assert 0 <= b.indices.min() and b.indices.max() < dim - split
+    assert 0 <= b_t.indices.min() and b_t.indices.max() < split
+    assert (b.T != b_t).nnz == 0
     # the halves are the rows of even and of odd qubit parity, each in order
-    parity = np.array([bin(b).count("1") % 2 for b in range(2**8)])[rows % 2**8]
+    parity = np.array([bin(k).count("1") % 2 for k in range(2**8)])[rows % 2**8]
     assert np.all(parity[:split] == 0) and np.all(parity[split:] == 1)
     assert np.all(np.diff(rows[:split]) > 0) and np.all(np.diff(rows[split:]) > 0)
-    # the row blocks are views of 2H~'s arrays, not copies
-    for block in (even_rows, odd_rows):
-        assert np.shares_memory(block.data, two_h.data)
-        assert np.shares_memory(block.indices, two_h.indices)
+    # B and B^T are the two ends of one data array and one index array
+    assert b.data.base is not None and b.data.base is b_t.data.base
+    assert b.indices.base is not None and b.indices.base is b_t.indices.base
+    assert b.data.base.size == 72_704
 
 
 def test_detuned_operator_keeps_each_halfs_diagonal():
-    # a detuning on one qubit gives H a diagonal, and 2H~ stores entries of
-    # it in the rows of both halves
+    # a detuning on one qubit gives H a diagonal, which mixes the halves:
+    # one start over all rows with the whole 2H~, which stores entries of
+    # the diagonal in the rows of both halves
     spec = ReservoirSpec(table_spec(3).couplings, (0.0, 2.0 * MHZ, 0.0), N_MEAN)
     cutoff = 6
     levels = np.ones(cutoff + 3, dtype=bool)
-    _, (c, r, (two_h, even_rows, odd_rows), diagonal) = _level_operator(
-        spec, cutoff, levels.tobytes()
-    )
-    split = even_rows.shape[0]
-    assert diagonal
-    assert np.any(even_rows.indices < split) and np.any(odd_rows.indices >= split)
+    rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    ((here, there, (two_h, same)),) = starts
+    dim = rows.size
+    assert here == there == slice(0, dim)
+    assert same is two_h and two_h.shape == (dim, dim)
+    split = np.count_nonzero(np.array([bin(k).count("1") % 2 for k in range(8)])[rows % 8] == 0)
+    diagonal = two_h.diagonal()
+    assert np.any(diagonal[:split] != 0) and np.any(diagonal[split:] != 0)
     layout = SpaceLayout((cutoff,) + (2,) * 3)
     psi0 = _random_state(layout, 3)
     dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, 47.0 * NS)

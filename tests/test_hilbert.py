@@ -86,6 +86,19 @@ def test_coherent_state_tail_oracle():
     assert float(reported) == pytest.approx(1.0 - cdf, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [35.0, 45.0 * np.exp(0.3j), 1.0e5])
+def test_coherent_state_far_past_the_cutoff_is_finite(alpha):
+    # every true amplitude squares to 0 (at 1e5 every amplitude is 0), yet
+    # the renormalized state is finite, of unit norm, with the ratios
+    # u_n / u_(n-1) = alpha / sqrt(n), and the tail of 1 still warns
+    with pytest.warns(TruncationWarning, match="tail 1.000e"):
+        psi = coherent_state(alpha, 40)
+    assert np.all(np.isfinite(psi.amps))
+    assert np.linalg.norm(psi.amps) == pytest.approx(1.0, abs=1e-15)
+    top = psi.amps[-12:]
+    assert np.allclose(top[1:] / top[:-1], alpha / np.sqrt(np.arange(29, 40)), rtol=1e-12)
+
+
 def test_displacement_identity_and_action():
     assert np.allclose(displacement(0.0, 8), np.eye(8))
     d = displacement(1.65, 40)
