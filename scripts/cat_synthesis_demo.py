@@ -2,22 +2,23 @@
 """Synthesize the even cat by the reversed-disentangling protocol and
 dump its Wigner function.
 
-Prints the per-step swap angles, reports the fidelity of the forward
-synthesis against the truncated target, then rasterizes the Wigner map
-of the finished state (two coherent lobes plus the interference
-fringes around the midpoint).  The cat amplitude, the ancilla drive,
-the Fock cutoff and the Wigner grid come from the device YAML.
+Writes the Wigner map of the finished state (two coherent lobes plus
+the interference fringes around the midpoint) by running ``catbath
+wigner``, then prints the per-step swap angles, the fidelity of the
+forward synthesis against the truncated target and W at the fringe
+peak.  The cat amplitude, the ancilla drive, the Fock cutoff and the
+Wigner grid come from the device YAML; a YAML the CLI refuses ends the
+demo with the CLI's exit code and ``error:`` line.
 """
 
 import argparse
-import csv
 import warnings
 
 import numpy as np
 
 from catbath import catprep, tomography
-from catbath.cli import CliError, _require_synthesis_cutoff
-from catbath.config import MHZ, ConfigError, load_config
+from catbath.cli import main as catbath
+from catbath.config import MHZ, load_config
 from catbath.hilbert import StateVector, TruncationWarning, density_from_state, fidelity
 
 
@@ -26,12 +27,11 @@ def main(argv=None):
     ap.add_argument("--config", default="configs/device.yaml")
     ap.add_argument("--out", default="wigner_cat.csv")
     args = ap.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        _require_synthesis_cutoff(cfg)
-    except (ConfigError, CliError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+    code = catbath(["wigner", "--config", args.config, "--out", args.out])
+    if code:
+        return code
 
+    cfg = load_config(args.config)
     alpha = cfg.scenario.alpha
     spec = catprep.CatSpec(alpha=alpha)
     xi = cfg.ancilla_xi_MHz * MHZ
@@ -47,23 +47,17 @@ def main(argv=None):
     f_fwd = fidelity(catprep.apply_sequence(steps, vacuum, "forward", xi=xi), target)
     print(f"fidelity of the forward synthesis against the target: {f_fwd:.8f}")
 
+    # the CLI's run logged the cutoff's warnings next to the map
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         cat = catprep.make_amplitude_cat(spec, cfg.cutoff, xi)
-        wm = tomography.wigner_map(
-            density_from_state(cat), *cfg.scenario.wigner_grid.grids()
-        )
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re", "im", "w"])
-        for i, x in enumerate(wm.re_grid):
-            for j, y in enumerate(wm.im_grid):
-                w.writerow([f"{x:.4f}", f"{y:.4f}", f"{wm.values[i, j]:.6e}"])
     mid = alpha / 2.0
     w_mid = tomography.wigner_point(density_from_state(cat), mid)
     print(f"fringe peak at beta={mid:.2f}: W = {w_mid:.4f} (2/pi = {2 / np.pi:.4f})")
-    print(f"wrote {wm.values.size} Wigner samples to {args.out}")
+    re_grid, im_grid = cfg.scenario.wigner_grid.grids()
+    print(f"wrote {re_grid.size * im_grid.size} Wigner samples to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Scan reservoir size N and watch collapse turn irreversible.
+"""Scan reservoir size N and print the late-time coherence of each run.
 
 For each N, runs ``catbath decohere`` on the device YAML, which tracks
 the cross-branch coherence factor, the entropy of qubit 0 and the
-which-path distinguishability of the reservoir over time.  With one
-qubit the coherence revives periodically; as qubits with incommensurate
-swap frequencies are added the revivals wash out and the record of the
-field phase becomes effectively permanent.
+which-path distinguishability of the reservoir over time, and prints
+the largest ``coh_factor_abs`` over the last three quarters of the
+run.  That column is the semiclassical model's |coh|
+(``dynamics.coherence_factor``), so the printed value is that model's
+late-time revival, not the exact dynamics': the infinite-time floor of
+the exact |coh|^2 stops falling past N of about 6 on this device.
 
 Writes one ``decohere`` CSV per N into the output directory.
 """

@@ -66,22 +66,21 @@ class ProtocolStep:
 def cat_fock_amplitudes(spec: CatSpec, cutoff: int, renormalize: bool = False) -> np.ndarray:
     """Fock amplitudes of the even phase cat |C+(alpha/2)>.
 
-    N+ (u(alpha/2) + u(-alpha/2)), u the coherent amplitudes of hilbert:
-    the even entries are 2 N+ u_n(alpha/2), the odd ones zero.  With
-    `renormalize` the truncated vector is scaled to unit norm (the
-    protocol's target state).
+    N+ (c(alpha/2) + c(-alpha/2)), c = exp(s) u the coherent amplitudes
+    of hilbert._coherent_amplitudes: the even entries are 2 N+ c_n(alpha/2),
+    the odd ones zero.  With `renormalize` the even entries of u are
+    scaled to unit norm (the protocol's target state).
     """
     if cutoff < N_STAR:
         raise ValueError(f"cutoff {cutoff} below operational cutoff {N_STAR}")
     alpha = complex(spec.alpha)
+    u, s = _coherent_amplitudes(alpha / 2.0, cutoff + 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
-    if renormalize:
-        # relative magnitudes: the norm of the true ones underflows at large |alpha|
-        amps[::2] = _coherent_amplitudes(alpha / 2.0, cutoff + 1, relative=True)[::2]
+    amps[::2] = u[::2]
+    if renormalize:  # from u: the norm of the true amplitudes underflows at large |alpha|
         return amps / np.linalg.norm(amps)
     norm_plus = (2.0 * (1.0 + math.exp(-abs(alpha) ** 2 / 2.0))) ** -0.5
-    amps[::2] = 2.0 * norm_plus * _coherent_amplitudes(alpha / 2.0, cutoff + 1)[::2]
-    return amps
+    return 2.0 * norm_plus * np.exp(s) * amps
 
 
 def truncation_fidelity(spec: CatSpec) -> float:

@@ -31,8 +31,12 @@ exit code 1 before any array over it is built.  ``wigner`` maps the
 synthesized cat; ``wigner --time`` and the ``decohere --wigner-times``
 snapshots map the field of the branch model.  Both photon-resolved
 kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
-and |0, G> is their level 0.  ``scripts/cat_synthesis_demo.py`` reads
-its cutoff from the YAML and checks it as ``prep-cat`` does.
+and |0, G> is their level 0.  ``decohere`` and ``wigner --time`` build
+the reservoir in _reservoir_from_config, which turns an alpha whose
+Rabi rate overflows (dynamics.ReservoirSpec) into exit code 1.
+``scripts/cat_synthesis_demo.py`` writes its map by calling main with
+``wigner``, so the demo's CSV, warnings log and checks are that
+command's.
 """
 
 from __future__ import annotations
@@ -190,9 +194,10 @@ def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
         p = q.floquet_params()
         couplings.append(2.0 * abs(floquet.effective_coupling(p)))
         detunings.append(p.delta)
-    return dynamics.ReservoirSpec(
-        tuple(couplings), tuple(detunings), cfg.scenario.alpha**2
-    )
+    try:
+        return dynamics.ReservoirSpec(tuple(couplings), tuple(detunings), cfg.scenario.alpha**2)
+    except OverflowError as exc:  # <n> = alpha^2 makes a Rabi rate overflow
+        raise CliError(f"scenario.alpha: {cfg.scenario.alpha!r} is too large: {exc}") from exc
 
 
 def _require_synthesis_cutoff(cfg) -> None:

@@ -118,6 +118,10 @@ class ReservoirSpec:
             raise ValueError("all couplings must be positive")
         if self.n_mean < 0:
             raise ValueError("n_mean must be nonnegative")
+        # the squared semiclassical rate Omega_k^2 of hilbert._rabi_rate
+        for k, (lam, delta) in enumerate(zip(self.couplings, self.detunings)):
+            if not np.isfinite(self.n_mean * (lam * lam) + delta * delta):
+                raise OverflowError(f"<n> lambda_k^2 + delta_k^2 of qubit {k} overflows a float")
 
     @property
     def n_qubits(self) -> int:
@@ -300,12 +304,11 @@ def analytic_joint_state(
     # (rows, 2^N) amplitudes of |n> (x) |b>; qubits are prepended from the
     # last, so qubit 0 ends up the slowest index and the inner loops long
     branch = (np.exp(-0.5j * sum(spec.detunings) * t) * cat)[:, None]
-    excited = np.zeros(1, dtype=int)  # |b| of each column
     for pair in np.stack([c_g, c_e], axis=-1)[::-1]:
         branch = (pair[:, :, None] * branch[:, None, :]).reshape(rows, -1)
-        excited = np.concatenate([excited, excited + 1])
     # photon shift: pattern b moves from level n to n - |b|
     width = 2**n_q
+    excited = _excitation_numbers(n_q, 1)  # |b| of each column
     src = (np.arange(cutoff)[:, None] + excited) * width + np.arange(width)
     amps = branch.ravel().take(src.ravel())
     # an elementwise sum, not a BLAS dot, so no thread count moves the digits
@@ -579,23 +582,22 @@ def evolve_excitation_blocks(
 
 
 def reduced_qubit_state(psi: StateVector, k: int) -> DensityMatrix:
-    """Reduced 2x2 state of reservoir qubit k (factor k+1 of the layout).
-
-    Contracts the state vector directly, avoiding the full density
-    matrix (prohibitive at N = 8, cutoff 40).
-    """
-    dims = psi.layout.dims
-    pre = int(np.prod(dims[: k + 1]))
-    post = int(np.prod(dims[k + 2 :]))
-    tensor = psi.amps.reshape(pre, 2, post)
-    mat = np.einsum("aib,ajb->ij", tensor, tensor.conj())
-    return DensityMatrix(SpaceLayout((2,)), mat)
+    """Reduced 2x2 state of reservoir qubit k (factor k+1 of the layout)."""
+    return _reduced(psi, k + 1)
 
 
 def reduced_field_state(psi: StateVector) -> DensityMatrix:
-    """Reduced field-mode state, contracted from the state vector."""
+    """Reduced field-mode state (factor 0 of the layout)."""
+    return _reduced(psi, 0)
+
+
+def _reduced(psi: StateVector, factor: int) -> DensityMatrix:
+    """Reduced state of one factor, contracted from the state vector.
+
+    Avoids the full density matrix (prohibitive at N = 8, cutoff 40).
+    """
     dims = psi.layout.dims
-    tensor = psi.amps.reshape(dims[0], -1)
+    tensor = psi.amps.reshape(int(np.prod(dims[:factor])), dims[factor], -1)
     # einsum, not @: threaded BLAS would make the digits depend on the thread count
-    mat = np.einsum("ab,cb->ac", tensor, tensor.conj())
-    return DensityMatrix(SpaceLayout((dims[0],)), mat)
+    mat = np.einsum("aib,ajb->ij", tensor, tensor.conj())
+    return DensityMatrix(SpaceLayout((dims[factor],)), mat)

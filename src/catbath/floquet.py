@@ -31,7 +31,6 @@ from .hilbert import _bessel_orders, _fock_rabi_amplitudes
 
 __all__ = [
     "FloquetParams",
-    "bessel_j",
     "effective_coupling",
     "stark_shifts",
     "full_floquet_hamiltonian",
@@ -78,18 +77,6 @@ class FloquetParams:
         """J0(mu) and J1(mu) from one sweep, for the rotating-wave check and
         effective_coupling; not a field, so == and repr ignore it."""
         return _bessel_orders(1, self.mu)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer order.
-
-    J_|n| is the last order of one backward recurrence,
-    J_{k-1} = (2k/x) J_k - J_{k+1}, normalized by J_0 + 2 sum_k J_2k = 1
-    (Miller's algorithm, see hilbert._bessel_orders); J_{-n} = (-1)^n J_n.
-    """
-    n = int(n)
-    jn = float(_bessel_orders(abs(n), x)[-1])
-    return -jn if n < 0 and n % 2 else jn
 
 
 def effective_coupling(p: FloquetParams) -> float:

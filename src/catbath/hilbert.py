@@ -12,7 +12,13 @@ displacement return plain complex arrays.
 The closed forms the other modules share have their one copy here:
 the truncated coherent amplitudes, the Bessel orders, the sparse
 Chebyshev propagator, and the two-level exchange step of the
-Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  That step is split in
+Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  _coherent_amplitudes
+gives the coherent amplitudes in one log-space pass as (u, s): u
+scaled to a largest magnitude of 1, which renormalizes at any |alpha|,
+and exp(s) u the true amplitudes, for a truncation tail or error.
+_bessel_cut is the one order bound of J_k(x): where _bessel_orders
+starts its sweep and how long a Chebyshev series runs.  The exchange
+step is split in
 two: _rabi_rate gives the time-independent Omega(n) and 1/Omega, and
 _exchange_step gives cos(Omega t/2) and sin(Omega t/2)/Omega at any
 times.  _fock_rabi_amplitudes joins them into the amplitudes (c_g,
@@ -182,44 +188,43 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int, relative: bool = False) -> np.ndarray:
-    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff, not renormalized.
+def _coherent_amplitudes(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
+    """(u, s) with exp(s) u = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff.
 
-    Evaluated in log space, so neither alpha^n nor n! overflows.  With
-    `relative` the magnitudes are taken relative to the largest, which
-    is 1, for a renormalization: their norm cannot underflow, as that of
-    the true amplitudes does far past the cutoff's reach (at |alpha| =
-    35, cutoff 40, they are near 1e-229 and their squares 0).
+    One pass in log space, so neither alpha^n nor n! overflows.  u is
+    scaled so that its largest magnitude is 1: its norm cannot
+    underflow, as that of the true amplitudes does far past the
+    cutoff's reach (at |alpha| = 35, cutoff 40, they are near 1e-229
+    and their squares 0), so it renormalizes at any |alpha|.
     """
     if alpha == 0:
-        return np.eye(1, cutoff, dtype=complex)[0]
+        return np.eye(1, cutoff, dtype=complex)[0], 0.0
     n = np.arange(cutoff)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff, dtype=float))]))
     log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact
-    log_mag -= log_mag.max() if relative else abs(alpha) ** 2 / 2.0
-    return np.exp(log_mag) * np.exp(1j * np.angle(complex(alpha)) * n)
+    u = np.exp(log_mag - log_mag.max()) * np.exp(1j * np.angle(complex(alpha)) * n)
+    return u, log_mag.max() - abs(alpha) ** 2 / 2.0
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Coherent state |alpha> truncated at `cutoff` Fock levels.
 
-    The amplitudes of _coherent_amplitudes, renormalized after
-    truncation from their values relative to the largest, so the state
-    stays finite at any |alpha|.  Emits a TruncationWarning when the
-    neglected Poisson tail 1 - sum_n |amps[n]|^2 of the true amplitudes
-    exceeds _TAIL_TOL.
+    The (u, s) of _coherent_amplitudes give both the state, u
+    renormalized after truncation, and the neglected Poisson tail
+    1 - exp(2s) sum_n |u_n|^2 of the true amplitudes; a tail past
+    _TAIL_TOL emits a TruncationWarning.
     """
     if cutoff < 1:
         raise ValueError(f"invalid dimension: cutoff must be >= 1, got {cutoff}")
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(_coherent_amplitudes(alpha, cutoff)) ** 2)))
+    u, s = _coherent_amplitudes(alpha, cutoff)
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(np.exp(s) * u) ** 2)))
     if tail > _TAIL_TOL:
         warnings.warn(
             f"coherent state truncation tail {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e} "
             f"at cutoff {cutoff}",
             TruncationWarning,
         )
-    amps = _coherent_amplitudes(alpha, cutoff, relative=True)
-    return StateVector(SpaceLayout((cutoff,)), amps / np.linalg.norm(amps))
+    return StateVector(SpaceLayout((cutoff,)), u / np.linalg.norm(u))
 
 
 def displacement(beta: complex, cutoff: int) -> np.ndarray:
@@ -233,7 +238,8 @@ def displacement(beta: complex, cutoff: int) -> np.ndarray:
     a = annihilation(cutoff)
     gen = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
     mat = _propagate(*np.linalg.eigh(gen), 1.0)
-    err = np.linalg.norm(mat[:, 0] - _coherent_amplitudes(beta, cutoff))
+    u, s = _coherent_amplitudes(beta, cutoff)
+    err = np.linalg.norm(mat[:, 0] - np.exp(s) * u)
     if err >= _DISPLACEMENT_TOL:
         warnings.warn(
             f"displacement truncation error |D(beta)|0> - |beta>| = {err:.3e} at cutoff "
@@ -301,23 +307,34 @@ def _fock_rabi_amplitudes(n, lam, delta, t) -> tuple[np.ndarray, np.ndarray]:
     return c_g, c_e
 
 
+def _bessel_cut(n: int, x: float) -> int:
+    """An order past both n and the Airy transition of J_k(x) near k = |x|.
+
+    J_k(x) dies past that transition, which is about |x|^(1/3) wide;
+    at this order it is below 1e-27 for |x| up to 1e6.  It is where
+    _bessel_orders starts its sweep and how many orders a Chebyshev
+    series at argument x computes.
+    """
+    return int(max(n, abs(x)) + 15.0 * abs(x) ** (1.0 / 3.0) + 50.0)
+
+
 def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     """J_0(x), ..., J_{n_max}(x) for real x, from one backward recurrence.
 
     Miller's algorithm: J_{k-1} = (2k/x) J_k - J_{k+1} runs down from
-    J_{m+1} = 0, J_m = 1 at an order m past both n_max and the Airy
-    transition near k = |x|, where the true J_m is negligible, and the
-    sweep is normalized by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev.
-    9, 24, 1967; Abramowitz & Stegun 9.12).  Run downwards, J is the
-    recurrence's dominant solution, so neither the arbitrary start nor
-    rounding grows along the sweep.  The running values are rescaled when they pass _BESSEL_RESCALE, and odd orders
-    change sign for x < 0.  Below |x| = _BESSEL_SMALL_X the leading
+    J_{m+1} = 0, J_m = 1 at m = _bessel_cut(n_max, x), where the true
+    J_m is negligible, and the sweep is normalized by J_0 + 2 sum_k
+    J_2k = 1 (Gautschi, SIAM Rev. 9, 24, 1967; Abramowitz & Stegun
+    9.12).  Run downwards, J is the recurrence's dominant solution, so
+    neither the arbitrary start nor rounding grows along the sweep.
+    The running values are rescaled when they pass _BESSEL_RESCALE, and
+    odd orders change sign for x < 0.  Below |x| = _BESSEL_SMALL_X the leading
     series term (x/2)^n / n! is exact to double precision.
     """
     if abs(x) < _BESSEL_SMALL_X:
         return np.cumprod(np.concatenate(([1.0], (x / 2.0) / np.arange(1.0, n_max + 1))))
     ax = abs(x)
-    m = int(max(n_max, ax) + 15.0 * ax ** (1.0 / 3.0) + 50.0)
+    m = _bessel_cut(n_max, x)
     j = np.zeros(m + 1)
     above, cur = 0.0, 1.0  # J_{k+1} and J_k, up to a common factor
     for k in range(m, 0, -1):
@@ -430,10 +447,8 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     """
     c, r, starts = operator
     z = r * t
-    # J_k(z) dies past the Airy transition, about |z|^(1/3) wide beyond
-    # k = |z|; at this length it is below 1e-27 for |z| up to 1e6, so the
-    # cut below always falls inside
-    k = np.arange(int(abs(z) + 15.0 * abs(z) ** (1.0 / 3.0) + 50.0))
+    # the _CHEBYSHEV_TOL cut below always falls inside _bessel_cut
+    k = np.arange(_bessel_cut(0, z))
     # (-i)^k is sign_k for even k and -i sign_k for odd k
     sign = np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
     coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)

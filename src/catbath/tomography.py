@@ -91,14 +91,14 @@ def synthesize_rabi(pn: np.ndarray, xi: float, taus: np.ndarray) -> RabiTrace:
     if pn.min() < -1e-12 or abs(pn.sum() - 1.0) > 1e-9:
         raise ValueError("pn is not a probability distribution")
     taus = np.asarray(taus, dtype=float)
-    cosines = np.cos(2.0 * xi * np.sqrt(np.arange(pn.size))[None, :] * taus[:, None])
-    pe = 0.5 * (1.0 - cosines @ pn)
+    pe = 0.5 - _design_matrix(taus, xi, pn.size - 1) @ pn
     return RabiTrace(taus, pe, xi)
 
 
-def _design_matrix(trace: RabiTrace, n_max: int) -> np.ndarray:
-    freqs = 2.0 * trace.xi * np.sqrt(np.arange(n_max + 1, dtype=float))
-    return 0.5 * np.cos(freqs[None, :] * trace.taus[:, None])
+def _design_matrix(taus: np.ndarray, xi: float, n_max: int) -> np.ndarray:
+    """A[i, n] = cos(2 xi sqrt(n) tau_i) / 2, so that P_e = 1/2 - A P_n."""
+    freqs = 2.0 * xi * np.sqrt(np.arange(n_max + 1, dtype=float))
+    return 0.5 * np.cos(freqs[None, :] * taus[:, None])
 
 
 def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
@@ -115,7 +115,7 @@ def fit_photon_numbers(trace: RabiTrace, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max must be between 0 and {N_MAX_LIMIT}, got {n_max}")
     if trace.taus.size < n_max + 2:
         raise ValueError("too few samples for the requested n_max")
-    a = _design_matrix(trace, n_max)
+    a = _design_matrix(trace.taus, trace.xi, n_max)
     b = 0.5 - trace.pe
     # span check: at least 2 periods of the slowest nonzero tone
     slowest = 2.0 * abs(trace.xi)  # n = 1

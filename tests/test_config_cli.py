@@ -400,6 +400,35 @@ def test_alpha_far_past_the_cutoff_gives_finite_output(tmp_path, alpha):
     assert "TruncationWarning x1: coherent state truncation tail 1.000e+00" in log
 
 
+def test_alpha_whose_rabi_rate_overflows_exits_1(tmp_path, capsys):
+    # alpha^2 = 1e300 is finite, <n> lambda_k^2 is not: the semiclassical
+    # rate would be inf and every cell NaN
+    path = _device_with_alpha(tmp_path, 1.0e150)
+    d, w = str(tmp_path / "d.csv"), str(tmp_path / "w.csv")
+    for argv in (["decohere", "--n-qubits", "8", "--t-max", "4", "--dt", "1", "--out", d],
+                 ["wigner", "--time", "3", "--out", w]):
+        assert main([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.alpha: 1e+150 is too large: ")
+        assert "of qubit 0 overflows a float" in err
+    assert not list(tmp_path.glob("*.csv*"))
+    # 1e100 is in range: exit 0 and finite cells
+    path = _device_with_alpha(tmp_path, 1.0e100)
+    assert main(["decohere", "--n-qubits", "8", "--t-max", "4", "--dt", "1", "--out", d,
+                 "--config", path]) == 0
+    assert _all_cells_finite(d)
+
+
+def test_reservoir_spec_rejects_an_overflowing_rate():
+    from catbath.dynamics import ReservoirSpec
+
+    with pytest.raises(OverflowError, match="qubit 1 overflows a float"):
+        ReservoirSpec((1e8, 1e150), (0.0, 0.0), 1.0e10)
+    with pytest.raises(OverflowError, match="qubit 0 overflows a float"):
+        ReservoirSpec((1e8,), (1e155,), 0.0)
+    ReservoirSpec((1e8,), (1e150,), 1.0e130)
+
+
 def _unordered_grid(axis: str, lo: float, hi: float) -> dict:
     import copy
 
@@ -451,21 +480,41 @@ def test_cat_synthesis_rejects_cutoff_below_its_levels(tmp_path, capsys):
                  "--out", str(tmp_path / "wt.csv")]) == 0
 
 
-def test_cat_synthesis_demo_rejects_cutoff_below_its_levels(tmp_path):
+def _load_demo():
     script = Path(__file__).parent.parent / "scripts" / "cat_synthesis_demo.py"
     spec = importlib.util.spec_from_file_location("cat_synthesis_demo", script)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    return demo
+
+
+def test_cat_synthesis_demo_rejects_cutoff_below_its_levels(tmp_path, capsys):
+    demo = _load_demo()
     data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 5})
     path = tmp_path / "small.yaml"
     path.write_text(yaml.safe_dump(data))
     out = tmp_path / "w.csv"
-    with pytest.raises(SystemExit) as exc:
-        demo.main(["--config", str(path), "--out", str(out)])
-    # a string exit code is printed to stderr and exits 1
-    assert str(exc.value.code).startswith("error: resonator.cutoff: 5 ")
-    assert "7 Fock levels" in str(exc.value.code)
+    # the CLI's check, its exit code and its error line
+    assert demo.main(["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resonator.cutoff: 5 ") and "7 Fock levels" in err
     assert not out.exists()
+
+
+def test_cat_synthesis_demo_writes_the_cli_map(tmp_path, capsys):
+    demo = _load_demo()
+    data = dict(CONFIG, resonator={"omega_s_MHz": 5796.0, "cutoff": 30})
+    path = tmp_path / "c30.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out, ref = tmp_path / "demo.csv", tmp_path / "cli.csv"
+    assert demo.main(["--config", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "step  n   theta_rad   t_ns"
+    assert any(line.startswith("fidelity of the forward synthesis") for line in printed)
+    assert printed[-2].startswith("fringe peak at beta=1.65: W = 0.6366")
+    assert main(["wigner", "--config", str(path), "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert printed[-1] == f"wrote {out.read_text().count(chr(10)) - 1} Wigner samples to {out}"
 
 
 def test_fit_rabi_rejects_nonfinite_sample(tmp_path, capsys):

@@ -750,15 +750,15 @@ def test_engine_rejects_non_finite_time(t):
 def test_reduced_states_match_partial_trace():
     from catbath.hilbert import density_from_state, partial_trace
 
-    spec = table_spec(2)
+    # every factor of an N = 3 state: the field (factor 0) and qubits 0, 1, 2
+    spec = table_spec(3)
     psi = analytic_joint_state(5e-9, ALPHA, spec, 14)
     rho = density_from_state(psi)
-    assert np.allclose(
-        reduced_qubit_state(psi, 1).mat, partial_trace(rho, [2]).mat, atol=1e-12
-    )
-    assert np.allclose(
-        reduced_field_state(psi).mat, partial_trace(rho, [0]).mat, atol=1e-12
-    )
+    reduced = [reduced_field_state(psi)] + [reduced_qubit_state(psi, k) for k in range(3)]
+    for factor, got in enumerate(reduced):
+        ref = partial_trace(rho, [factor])
+        assert got.layout == ref.layout
+        assert np.allclose(got.mat, ref.mat, rtol=0, atol=1e-12), factor
 
 
 def _jc_closed_form(t, alpha, lam, delta, cutoff):

@@ -13,6 +13,7 @@ from catbath.hilbert import (
     SpaceLayout,
     StateVector,
     TruncationWarning,
+    _coherent_amplitudes,
     _exchange_step,
     _fock_rabi_amplitudes,
     _rabi_rate,
@@ -84,6 +85,29 @@ def test_coherent_state_tail_oracle():
     # the warning reports that Poisson tail, 1 - cdf, to 3 digits
     reported = re.search(r"tail (\S+) exceeds", str(caught[0].message)).group(1)
     assert float(reported) == pytest.approx(1.0 - cdf, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha,cutoff", [(3.3, 12), (35.0, 40)])
+def test_coherent_state_one_pass_tail_against_mpmath(alpha, cutoff):
+    # the true amplitudes alpha^n exp(-|alpha|^2/2) / sqrt(n!) in 50 digits
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        exact = [a**n * mpmath.exp(-a * a / 2) / mpmath.sqrt(mpmath.factorial(n))
+                 for n in range(cutoff)]
+        tail = float(1 - mpmath.fsum(c * c for c in exact))
+    # one pass: u peaks at 1, and exp(s) u are the true amplitudes
+    u, s = _coherent_amplitudes(alpha, cutoff)
+    assert np.max(np.abs(u)) == 1.0
+    ref = np.array([float(c) for c in exact])
+    assert np.allclose(np.exp(s) * u, ref, rtol=1e-12, atol=0)
+    with pytest.warns(TruncationWarning) as caught:
+        psi = coherent_state(alpha, cutoff)
+    reported = re.search(r"tail (\S+) exceeds", str(caught[0].message)).group(1)
+    assert float(reported) == pytest.approx(tail, rel=1e-3)
+    # the state is that same u, renormalized
+    assert np.array_equal(psi.amps, u / np.linalg.norm(u))
 
 
 @pytest.mark.parametrize("alpha", [35.0, 45.0 * np.exp(0.3j), 1.0e5])
