@@ -5,10 +5,9 @@ For each N, runs ``catbath decohere`` on the device YAML, which tracks
 the cross-branch coherence factor, the entropy of qubit 0 and the
 which-path distinguishability of the reservoir over time, and prints
 the largest ``coh_factor_abs`` over the last three quarters of the
-run.  That column is the semiclassical model's |coh|
-(``dynamics.coherence_factor``), so the printed value is that model's
-late-time revival, not the exact dynamics': the infinite-time floor of
-the exact |coh|^2 stops falling past N of about 6 on this device.
+run.  That column is the photon-resolved branch model's |coh|
+(``dynamics.analytic_qubit_states``), exact at N = 1 and approximate
+for N >= 2, so the printed value is that model's late-time revival.
 
 Writes one ``decohere`` CSV per N into the output directory.
 """

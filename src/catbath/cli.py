@@ -20,15 +20,19 @@ its arguments (all of them do when it names none), so a run pays for
 one command's flags.  The help texts and error messages do not depend
 on this.
 
-The ``decohere`` columns come from two models, each evaluated over the
-whole time grid in one call: ``entropy_bits`` from qubit 0's state in
-the photon-resolved branch model, ``dynamics.analytic_qubit_states``,
-while ``coh_factor_abs`` and ``distinguishability`` come from the
-semiclassical ``dynamics.coherence_factor``, with D = sqrt(1 - |coh|^2),
-the trace distance of the pure reservoir records.  Its grid t_j = j dt
-reaches t_max; one of more than MAX_TIME_POINTS times is refused with
-exit code 1 before any array over it is built.  ``wigner`` maps the
-synthesized cat; ``wigner --time`` and the ``decohere --wigner-times``
+The ``decohere`` columns come from one model, the photon-resolved
+branch model, in one call over the whole time grid,
+``dynamics.analytic_qubit_states``: ``entropy_bits`` from qubit 0's
+state and ``coh_factor_abs`` from the cross-branch coherence |coh|.
+``distinguishability`` = sqrt(1 - |coh|^2) is the upper edge of the
+bracket 1 - |coh|^2 <= D <= sqrt(1 - |coh|^2) on the trace distance D
+of the reservoir records; it equals D only for a pure record.  The
+grid t_j = j dt reaches t_max; one of more than MAX_TIME_POINTS times
+is refused with exit code 1 before any array over it is built.
+``wigner`` maps the synthesized cat; ``prep-cat`` and ``wigner``
+without ``--time`` refuse, with exit code 1, a cutoff too small for
+the synthesis or not above the mean photon number |alpha|^2 of the
+|alpha> branch.  ``wigner --time`` and the ``decohere --wigner-times``
 snapshots map the field of the branch model.  Both photon-resolved
 kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
 and |0, G> is their level 0.  ``decohere`` and ``wigner --time`` build
@@ -59,7 +63,8 @@ from .hilbert import DensityMatrix, SpaceLayout, density_from_state
 __all__ = ["main"]
 
 # the most decohere time points: the arrays over the grid take about
-# 150 B per point, so the cap bounds them near 150 MB
+# 130 B per point at any N (tracemalloc peak of a 200001-point run),
+# so the cap bounds them near 130 MB
 MAX_TIME_POINTS = 10**6
 
 
@@ -201,12 +206,25 @@ def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
 
 
 def _require_synthesis_cutoff(cfg) -> None:
-    """The cat synthesis runs on N* + 1 Fock levels; a smaller cutoff cannot hold it."""
+    """The cat synthesis runs on N* + 1 Fock levels and its cat on `cutoff`.
+
+    A smaller cutoff cannot hold the synthesis, and one at or below the
+    mean photon number |alpha|^2 cannot hold the |alpha> branch: at
+    cutoff 40 and alpha = 6.3, half the Poisson weight of |alpha> lies
+    past the cutoff, and the synthesized cat's fidelity with the ideal
+    one is about 0.2.
+    """
     levels = catprep.N_STAR + 1
     if cfg.cutoff < levels:
         raise CliError(
             f"resonator.cutoff: {cfg.cutoff} is below the {levels} Fock levels "
             "the cat synthesis needs"
+        )
+    n_mean = cfg.scenario.alpha * cfg.scenario.alpha
+    if n_mean >= cfg.cutoff:
+        raise CliError(
+            f"scenario.alpha: {cfg.scenario.alpha!r} has a mean photon number "
+            f"{_fmt(n_mean)} not below resonator.cutoff {cfg.cutoff}"
         )
 
 
@@ -274,12 +292,12 @@ def _cmd_decohere(args) -> list[str]:
     n_times = math.ceil(points)
     spec = _reservoir_from_config(cfg, n)
     times = np.arange(n_times) * dt
-    coh = np.abs(dynamics.coherence_factor(times, spec))
-    # trace distance of pure records; the clip keeps a |coh| rounded above 1 finite
-    disting = np.sqrt(np.maximum(0.0, 1.0 - coh**2))
-    states = dynamics.analytic_qubit_states(
+    states, coh = dynamics.analytic_qubit_states(
         dt, n_times, cfg.scenario.alpha, spec, cfg.cutoff
     )
+    # the upper edge of 1 - |coh|^2 <= D <= sqrt(1 - |coh|^2); the kernel
+    # keeps |coh| <= 1, and the clip guards the square root all the same
+    disting = np.sqrt(np.maximum(0.0, 1.0 - coh**2))
     entropy = analysis._entropy_bits(states)
     header = ["t_ns", "coh_factor_abs", "entropy_bits", "distinguishability"]
     _write_csv(args.out, header, zip(times / NS, coh, entropy, disting))
@@ -437,9 +455,11 @@ _COMMANDS = {
     )),
     "decohere": (
         _cmd_decohere,
-        "reservoir decoherence trace over the whole time grid (entropy_bits "
-        "of qubit 0 in the photon-resolved branch model; coh_factor_abs from the "
-        "semiclassical model and distinguishability = sqrt(1 - coh_factor_abs^2))",
+        "reservoir decoherence trace over the whole time grid, every column "
+        "from one model, the photon-resolved branch model: entropy_bits of qubit 0, "
+        "the cross-branch coh_factor_abs, and distinguishability = "
+        "sqrt(1 - coh_factor_abs^2), the upper edge of the bracket "
+        "1 - |coh|^2 <= D <= sqrt(1 - |coh|^2), equal to D only for a pure record",
         (
             _arg("--config", required=True),
             _arg("--n-qubits", type=int, default=None),

@@ -18,14 +18,18 @@ floquet.
   This carries the back-action on the field (Gea-Banacloche, PRL 65,
   3385, 1990).  It is exact at N = 1 and approximate for N >= 2, since
   it ignores that a photon taken by one qubit lowers the rate the
-  others see.  analytic_qubit_states gives qubit 0's reduced state of
-  this model on a whole time grid t_j = j dt in closed form, without
-  forming the 2^N branch; on the grid its phases follow by angle
-  addition from one table and one direct evaluation per chunk, and it
-  issues one "strained" warning for all its times.
+  others see.  analytic_qubit_states gives qubit 0's reduced state and
+  the cross-branch coherence |coh| of this model on a whole time grid
+  t_j = j dt in closed form, without forming the 2^N branch; on the
+  grid its phases follow by angle addition from one table and one
+  direct evaluation per chunk, and it issues one "strained" warning
+  for all its times.  It is the one model of every column that
+  ``catbath decohere`` writes.
 - branch_amplitudes, branch_states and coherence_factor are the
-  n = <n> case: the field is a classical drive of Rabi frequency
-  Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).
+  semiclassical n = <n> case: the field is a classical drive of Rabi
+  frequency Omega_k = sqrt(<n> lambda_k^2 + delta_k^2).  No CLI path
+  or script calls them; they are the oracle of acceptance criteria 4
+  and 5.
 
 Exact propagation is the reference for both.  evolve_excitation_blocks
 applies the sparse Hamiltonian by a Chebyshev series at any register
@@ -130,7 +134,10 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class BranchAmplitudes:
-    """Qubit amplitudes (c_g, c_e) of the |alpha> branch and Rabi rate Omega_k."""
+    """Qubit amplitudes (c_g, c_e) of the semiclassical |alpha> branch and Rabi rate Omega_k.
+
+    What branch_amplitudes returns, for the acceptance-criterion oracles.
+    """
 
     c_g: complex
     c_e: complex
@@ -186,7 +193,11 @@ def _nonnegative_times(t) -> np.ndarray:
 
 
 def _semiclassical_amplitudes(t, spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(c_g, c_e) of every qubit at n = <n>, each of shape (N,) + shape(t)."""
+    """(c_g, c_e) of every qubit at n = <n>, each of shape (N,) + shape(t).
+
+    The semiclassical model behind branch_amplitudes, branch_states and
+    coherence_factor, the oracle of acceptance criteria 4 and 5.
+    """
     t = _nonnegative_times(t)
     per_qubit = (-1,) + (1,) * t.ndim
     return _fock_rabi_amplitudes(
@@ -200,6 +211,7 @@ def _semiclassical_amplitudes(t, spec: ReservoirSpec) -> tuple[np.ndarray, np.nd
 def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes:
     """Semiclassical amplitudes of qubit k inside the |alpha> branch.
 
+    An oracle of acceptance criteria 4 and 5; no CLI path calls it.
     The photon-resolved kernel at n = <n>:
     c_g = cos(Omega_k t/2) + i (delta_k/Omega_k) sin(Omega_k t/2)
     c_e = -i (sqrt(<n>) lambda_k / Omega_k) sin(Omega_k t/2)
@@ -210,7 +222,10 @@ def branch_amplitudes(k: int, t: float, spec: ReservoirSpec) -> BranchAmplitudes
 
 
 def branch_states(t: float, spec: ReservoirSpec) -> list[DensityMatrix]:
-    """Pure 2x2 state |c_g, c_e> of each qubit in the semiclassical |alpha> branch."""
+    """Pure 2x2 state |c_g, c_e> of each qubit in the semiclassical |alpha> branch.
+
+    The oracle of acceptance criterion 5; no CLI path calls it.
+    """
     vecs = np.stack(_semiclassical_amplitudes(t, spec), axis=-1)
     return [
         DensityMatrix(SpaceLayout((2,)), np.outer(vec, vec.conj())) for vec in vecs
@@ -335,10 +350,19 @@ def _coefficient_sums(w_g: np.ndarray, w_e: np.ndarray) -> np.ndarray:
 
 def analytic_qubit_states(
     dt: float, n_times: int, alpha: complex, spec: ReservoirSpec, cutoff: int
-) -> np.ndarray:
-    """Qubit 0's reduced state of analytic_joint_state at t_j = j dt, j < n_times.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit 0's reduced state and |coh| of analytic_joint_state at t_j = j dt, j < n_times.
 
-    Returns shape (n_times, 2, 2).  The 2^N joint state is never formed.
+    Returns (states, coh_abs) of shapes (n_times, 2, 2) and (n_times,).
+    coh_abs is the cross-branch coherence factor: in the |alpha> branch
+    the qubits stay in |G> = |g...g> with amplitude coh_n prod_k
+    c_g,k(n) at level n, coh_n the Fock amplitude of |alpha>, so
+
+        |coh|^2 = sum_n |coh_n|^2 prod_k |c_g,k(n)|^2 / sum_n |coh_n|^2
+                = 1 - sum_n |coh_n|^2 (1 - prod_k |c_g,k(n)|^2) / sum_n |coh_n|^2,
+
+    taken in the second form, whose sum is exactly 0 at t = 0 in any
+    summation order, so |coh| = 1 there.  The 2^N joint state is never formed.
     Its amplitude at field level m for pattern b is phi cat_n prod_k
     p_k(n, b_k) with n = m + |b|, where cat_n is the ideal cat's Fock
     amplitude, p_k(n, 0) = c_g,k(n), p_k(n, 1) = c_e,k(n) and phi =
@@ -393,15 +417,17 @@ def analytic_qubit_states(
     product of xr + i xi over the qubits, in the truncated sums on the
     binding levels and in rho_01.  The chunk's arrays are buffers built
     once and filled in place.  No BLAS call is made, so no thread count
-    moves the digits.  One "strained" warning (_warn_once_if_strained)
-    covers all the times that analytic_joint_state would warn for.
+    moves the digits.  The |c_g|^2 above give |coh| too, one product
+    over the qubits per chunk.  One "strained" warning
+    (_warn_once_if_strained) covers all the times that
+    analytic_joint_state would warn for.
     """
     dt = float(_nonnegative_times(dt))
     n_times = operator.index(n_times)
     if n_times < 0:
         raise ValueError(f"n_times must be nonnegative, got {n_times}")
     # a zero at level cutoff, so that the n + 1 terms read a zero; the
-    # leak to the qubits is that of the |alpha> branch alone
+    # leak to the qubits and |coh| are those of the |alpha> branch alone
     cat, coh = (np.append(a, 0.0)[:, None] for a in _cat_amplitudes(alpha, cutoff))
     pop, coh_pop = np.abs(cat) ** 2, np.abs(coh) ** 2
     cross = cat[:-1] * cat[1:].conj()
@@ -425,7 +451,7 @@ def analytic_qubit_states(
     # qubits 1..N-1, (N - 1, cutoff, chunk): xr + i xi between n and n + 1
     x_buffer = np.empty((spec.n_qubits - 1, cutoff, step_cos.shape[-1]), dtype=complex)
     states = np.empty((n_times, 2, 2), dtype=complex)
-    leaks = np.empty(n_times)
+    leaks, lost = np.empty(n_times), np.empty(n_times)
     for start in range(0, n_times, _TIME_CHUNK):
         size = min(_TIME_CHUNK, n_times - start)
         # c_g = cos + i im_g and c_e = -i im_e
@@ -445,6 +471,7 @@ def analytic_qubit_states(
         d_g += scratch
         np.multiply(im_e, im_e, out=d_e)
         leaks[start : start + size] = np.sum(d_e.sum(axis=0) * coh_pop, axis=0)
+        lost[start : start + size] = np.sum((1.0 - np.prod(d_g, axis=0)) * coh_pop, axis=0)
         # xr into x.real and xi into x.imag, in place
         c, s, part = cos[1:], sin[1:], scratch[1:, :-1]
         x = x_buffer[..., :size]
@@ -478,14 +505,18 @@ def analytic_qubit_states(
         block[:, 0, 1] = w01.sum(axis=0) / trace
         block[:, 1, 0] = block[:, 0, 1].conj()
     _warn_once_if_strained(leaks, spec.n_mean)
-    return states
+    # the clip keeps a |coh| that rounding takes below 0 finite
+    coh_abs = np.sqrt(np.maximum(0.0, 1.0 - lost / np.sum(coh_pop)))
+    return states, coh_abs
 
 
 def coherence_factor(t, spec: ReservoirSpec):
-    """Which-path attenuation prod_k c_k^g(t) of the |alpha><0| block.
+    """Semiclassical which-path attenuation prod_k c_k^g(t) of the |alpha><0| block.
 
-    A scalar t gives a complex; an array of times gives an array of
-    their factors.
+    Every photon number sits at n = <n>.  The oracle of acceptance
+    criterion 4; ``catbath decohere`` writes the photon-resolved |coh|
+    of analytic_qubit_states instead.  A scalar t gives a complex; an
+    array of times gives an array of their factors.
     """
     coh = np.prod(_semiclassical_amplitudes(t, spec)[0], axis=0)
     return complex(coh) if coh.ndim == 0 else coh

@@ -22,11 +22,13 @@ step is split in
 two: _rabi_rate gives the time-independent Omega(n) and 1/Omega, and
 _exchange_step gives cos(Omega t/2) and sin(Omega t/2)/Omega at any
 times.  _fock_rabi_amplitudes joins them into the amplitudes (c_g,
-c_e) that catprep, floquet, the semiclassical branch model and
-dynamics.analytic_joint_state use.  dynamics.analytic_qubit_states
-calls the two halves directly: _rabi_rate once, and _exchange_step for
-its table of offsets within a chunk and at the first time of each
-chunk, the other times following by angle addition.
+c_e) that catprep, floquet, dynamics.analytic_joint_state and the
+semiclassical oracle of the acceptance tests use.
+dynamics.analytic_qubit_states, the one model of every column of
+``catbath decohere``, calls the two halves directly: _rabi_rate once,
+and _exchange_step for its table of offsets within a chunk and at the
+first time of each chunk, the other times following by angle
+addition.
 
 The Chebyshev propagator takes a real H that is bipartite off its
 diagonal, as the reservoir Hamiltonian is between the rows of even and

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import catbath
-from catbath import analysis, catprep, dynamics
+from catbath import catprep, dynamics
 from catbath import cli
 from catbath.cli import (
     _COMMANDS,
@@ -35,10 +35,16 @@ from catbath.config import (
     load_config,
     parse_config,
 )
-from catbath.hilbert import DensityMatrix, SpaceLayout, TruncationWarning, coherent_state
+from catbath.hilbert import (
+    DensityMatrix,
+    SpaceLayout,
+    StateVector,
+    TruncationWarning,
+    coherent_state,
+)
 from catbath.tomography import WignerMap, synthesize_rabi, wigner_map
 
-from conftest import DRIVE_TABLE
+from conftest import DRIVE_TABLE, photon_resolved_coh
 
 DEVICE_YAML = Path(__file__).parent.parent / "configs" / "device.yaml"
 
@@ -160,6 +166,8 @@ def test_floquet_calib_rejects_out_of_range_row(tmp_path, capsys, column, value,
 
 
 def test_decohere_cli_n1_collapse_revival(tmp_path, config_path):
+    # one qubit: coh_factor_abs is the norm of the |G> column of the
+    # exactly evolved |alpha> (x) |g>, checked every 2.5 ns
     out = tmp_path / "dec.csv"
     rc = main(
         ["decohere", "--config", config_path, "--n-qubits", "1",
@@ -169,13 +177,19 @@ def test_decohere_cli_n1_collapse_revival(tmp_path, config_path):
     rows = read_rows(out)
     t = np.array([float(r["t_ns"]) for r in rows])
     coh = np.array([float(r["coh_factor_abs"]) for r in rows])
-    # minima near 19 ns, maxima near 38 ns
-    win_min = coh[(t > 14) & (t < 24)]
-    win_max = coh[(t > 33) & (t < 43)]
-    assert win_min.min() < 0.05
-    assert win_max.max() > 0.95
+    cfg = load_config(config_path)
+    spec = _reservoir_from_config(cfg, 1)
+    amps = np.zeros(2 * cfg.cutoff, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # cutoff 24 leaves a tail
+        amps[::2] = coherent_state(cfg.scenario.alpha, cfg.cutoff).amps
+    psi = StateVector(SpaceLayout((cfg.cutoff, 2)), amps)
+    exact = [np.linalg.norm(dynamics.evolve_excitation_blocks(spec, psi, x * NS, cfg.cutoff)
+                            .amps[::2]) for x in t[::5]]
+    assert np.max(np.abs(coh[::5] - exact)) < 1e-12
+    # the revival, 0.90 rather than the semiclassical 1, near 37 ns
     mask = (t > 33) & (t < 43)
-    assert abs(t[mask][np.argmax(coh[mask])] - 38) < 2
+    assert abs(t[mask][np.argmax(coh[mask])] - 37) < 2
 
 
 def test_decohere_cli_byte_identical(tmp_path, config_path):
@@ -204,15 +218,16 @@ def test_decohere_cli_detuned_n8_matches_branch_model(tmp_path):
          "--t-max", "60", "--dt", "0.5", "--out", str(out)]
     ) == 0
     rows = read_rows(out)
-    spec = _reservoir_from_config(load_config(str(config_path)), 8)
+    cfg = load_config(str(config_path))
+    spec = _reservoir_from_config(cfg, 8)
     assert any(d != 0.0 for d in spec.detunings)
-    for row in rows:
-        t = float(row["t_ns"]) * NS
-        coh, d = float(row["coh_factor_abs"]), float(row["distinguishability"])
-        assert 0.0 <= coh <= 1.0 and 0.0 <= d <= 1.0
-        assert coh == pytest.approx(abs(dynamics.coherence_factor(t, spec)), abs=1e-12)
-        expected = analysis.reservoir_distinguishability(dynamics.branch_states(t, spec))
-        assert d == pytest.approx(expected, abs=1e-12)
+    t = np.array([float(r["t_ns"]) for r in rows]) * NS
+    coh = np.array([float(r["coh_factor_abs"]) for r in rows])
+    d = np.array([float(r["distinguishability"]) for r in rows])
+    assert np.all((0.0 <= coh) & (coh <= 1.0) & (0.0 <= d) & (d <= 1.0))
+    expected = photon_resolved_coh(t, cfg.scenario.alpha, spec, cfg.cutoff)
+    assert np.max(np.abs(coh - expected)) < 1e-12
+    assert np.max(np.abs(d - np.sqrt(1.0 - expected**2))) < 1e-12
     assert len(rows) == 121
 
 
@@ -383,18 +398,17 @@ def _all_cells_finite(path) -> bool:
 @pytest.mark.parametrize("alpha", [35.0, 1.0e5])
 def test_alpha_far_past_the_cutoff_gives_finite_output(tmp_path, alpha):
     # |alpha> past the cutoff's reach: the squares of its amplitudes
-    # underflow, but every command writes finite cells, exits 0 and
-    # reports the truncation
+    # underflow, but the reservoir commands write finite cells, exit 0
+    # and report the truncation; the synthesis refuses the alpha
     path = _device_with_alpha(tmp_path, alpha)
     d, w, s, f = (str(tmp_path / name) for name in ("d.csv", "w.csv", "s.csv", "f.csv"))
     assert main(["decohere", "--config", path, "--n-qubits", "8", "--t-max", "4", "--dt", "1",
                  "--out", d]) == 0
     assert main(["wigner", "--config", path, "--time", "3", "--out", w]) == 0
-    written = [d, w]
     if alpha == 1.0e5:
-        assert main(["prep-cat", "--config", path, "--steps-out", s, "--fock-out", f]) == 0
-        written += [s, f]
-    for out in written:
+        assert main(["prep-cat", "--config", path, "--steps-out", s, "--fock-out", f]) == 1
+        assert not os.path.exists(s) and not os.path.exists(f)
+    for out in (d, w):
         assert _all_cells_finite(out)
     log = (tmp_path / "d.csv.warnings.log").read_text()
     assert "TruncationWarning x1: coherent state truncation tail 1.000e+00" in log
@@ -476,6 +490,26 @@ def test_cat_synthesis_rejects_cutoff_below_its_levels(tmp_path, capsys):
     assert err.startswith("error: resonator.cutoff: 5 ") and "7 Fock levels" in err
     # the reservoir paths start from the ideal cat, which any cutoff holds
     assert main(["decohere", "--config", str(path), "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["wigner", "--config", str(path), "--time", "3",
+                 "--out", str(tmp_path / "wt.csv")]) == 0
+
+
+@pytest.mark.parametrize("alpha,rc", [(4.8, 0), (4.9, 1), (-4.9, 1), (35.0, 1)])
+def test_cat_synthesis_rejects_alpha_the_cutoff_cannot_hold(tmp_path, capsys, alpha, rc):
+    # cutoff 24: |alpha|^2 = 23.04 fits, 24.01 does not
+    data = dict(CONFIG, scenario=dict(CONFIG["scenario"], alpha=alpha))
+    path = tmp_path / "alpha.yaml"
+    path.write_text(yaml.safe_dump(data))
+    steps, fock, out = tmp_path / "s.csv", tmp_path / "f.csv", tmp_path / "w.csv"
+    for argv in (["prep-cat", "--steps-out", str(steps), "--fock-out", str(fock)],
+                 ["wigner", "--out", str(out)]):
+        assert main([*argv, "--config", str(path)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith(f"error: scenario.alpha: {alpha!r} has a mean photon number ")
+            assert err.rstrip().endswith("not below resonator.cutoff 24")
+    assert steps.exists() == fock.exists() == out.exists() == (rc == 0)
+    # the reservoir paths start from the ideal cat and take any alpha
     assert main(["wigner", "--config", str(path), "--time", "3",
                  "--out", str(tmp_path / "wt.csv")]) == 0
 

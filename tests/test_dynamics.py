@@ -35,7 +35,7 @@ from catbath.hilbert import (
     fidelity,
 )
 
-from conftest import LAMBDA_HALF_TABLE, MHZ, NS
+from conftest import LAMBDA_HALF_TABLE, MHZ, NS, photon_resolved_coh
 
 ALPHA = 3.3
 N_MEAN = ALPHA**2
@@ -606,7 +606,7 @@ def _qubit_states_against_joint(dt, n_times, alpha, spec, cutoff):
     """
     with warnings.catch_warnings(record=True) as fast:
         warnings.simplefilter("always")
-        got = analytic_qubit_states(dt, n_times, alpha, spec, cutoff)
+        got, _ = analytic_qubit_states(dt, n_times, alpha, spec, cutoff)
     with warnings.catch_warnings(record=True) as slow:
         warnings.simplefilter("always")
         ref = [reduced_qubit_state(analytic_joint_state(j * dt, alpha, spec, cutoff), 0).mat
@@ -665,7 +665,7 @@ def test_analytic_qubit_states_do_not_drift_along_a_long_grid():
     spec = ReservoirSpec((8.1 * MHZ, 6.6 * MHZ), (0.0, 1.3 * MHZ), N_MEAN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = analytic_qubit_states(dt, n_times, ALPHA, spec, 40)
+        got, _ = analytic_qubit_states(dt, n_times, ALPHA, spec, 40)
         # every 23rd time, which meets every offset within a chunk, and the last chunk
         checked = sorted(set(range(0, n_times, 23)) | set(range(n_times - _TIME_CHUNK, n_times)))
         ref = [reduced_qubit_state(analytic_joint_state(j * dt, ALPHA, spec, 40), 0).mat
@@ -677,7 +677,7 @@ def test_unstrained_grid_gives_no_warning():
     # one qubit over the first ns takes far less than 10% of <n>
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        states = analytic_qubit_states(0.1 * NS, 11, ALPHA, r1_spec(), 40)
+        states, _ = analytic_qubit_states(0.1 * NS, 11, ALPHA, r1_spec(), 40)
         analytic_qubit_states(0.1 * NS, 0, ALPHA, r1_spec(), 40)
     assert states.shape == (11, 2, 2)
     assert caught == []
@@ -704,9 +704,52 @@ def test_analytic_qubit_states_at_truncation_boundary(n, offset, detuned):
     # an empty grid: no state and no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        empty = analytic_qubit_states(0.5 * NS, 0, ALPHA, spec, 40)
+        empty, _ = analytic_qubit_states(0.5 * NS, 0, ALPHA, spec, 40)
     assert empty.shape == (0, 2, 2)
     assert caught == []
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+def test_kernel_coherence_is_exact_at_n1(detuned):
+    # one qubit: the kernel's |coh| is the norm of the |G> column of the
+    # exactly evolved |alpha> (x) |g>, over three chunks of 0.5 ns steps
+    spec = ReservoirSpec((8.1 * MHZ,), (1.7 * MHZ * detuned,), N_MEAN)
+    dt, n_times = 0.5 * NS, 2 * _TIME_CHUNK + 3
+    _, coh = analytic_qubit_states(dt, n_times, ALPHA, spec, 40)
+    amps = np.zeros(80, dtype=complex)
+    amps[::2] = coherent_state(ALPHA, 40).amps
+    psi = StateVector(SpaceLayout((40, 2)), amps)
+    exact = [np.linalg.norm(evolve_excitation_blocks(spec, psi, j * dt, 40).amps[::2])
+             for j in range(n_times)]
+    assert coh.shape == (n_times,) and coh[0] == 1.0
+    assert np.max(np.abs(coh - exact)) < 1e-12
+
+
+def test_kernel_coherence_is_exactly_1_at_t0():
+    # numpy sums a column of levels pairwise or in sequence depending on
+    # the chunk's width, so sum |c_n|^2 prod_k |c_g,k|^2 / sum |c_n|^2 is
+    # 1 - 1e-16 at t = 0 for many alpha, and D would read 1.5e-8
+    spec = table_spec(2)
+    for alpha in np.arange(1, 50) / 10:
+        for n_times in (1, 3):
+            _, coh = analytic_qubit_states(0.5 * NS, n_times, alpha, spec, 40)
+            assert coh[0] == 1.0, (alpha, n_times)
+
+
+def test_kernel_coherence_matches_the_per_level_sum_n8():
+    # eight detuned qubits over more than two chunks: the angle additions
+    # and the chunking against the per-level sum taken directly
+    lams = tuple(2.0 * lh * MHZ for lh in LAMBDA_HALF_TABLE)
+    deltas = tuple(np.array([-2.2, 1.4, 3.1, -0.7, 0.9, -1.6, 2.5, 0.3]) * MHZ)
+    alpha = 2.8 - 1.3j
+    spec = ReservoirSpec(lams, deltas, abs(alpha) ** 2)
+    dt, n_times = 1.9 * NS, 2 * _TIME_CHUNK + 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the model is strained at most times
+        _, coh = analytic_qubit_states(dt, n_times, alpha, spec, 40)
+    assert coh[0] == 1.0
+    expected = photon_resolved_coh(np.arange(n_times) * dt, alpha, spec, 40)
+    assert np.max(np.abs(coh - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
@@ -735,7 +778,7 @@ def test_vacuum_is_level_0_of_the_photon_resolved_map():
         assert abs(amps[0] - 1.0) < 1e-15
         assert np.all(amps[1:] == 0.0)
     # 0 to 200.75 ns, across three chunks
-    states = analytic_qubit_states(7.3 * NS, 2 * _TIME_CHUNK + 3, 0.0, spec, 8)
+    states, _ = analytic_qubit_states(7.3 * NS, 2 * _TIME_CHUNK + 3, 0.0, spec, 8)
     assert np.max(np.abs(states - np.diag([1.0, 0.0]))) < 1e-15
 
 
