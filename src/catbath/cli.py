@@ -14,11 +14,14 @@ it, with its count and its first and last message.  The "strained"
 warning of ``decohere`` is one warning for the whole grid, with the
 count of strained times and the first, last and largest leak.
 
-The parser is built from one table of commands, ``_COMMANDS``.  Every
-command is a subparser, but only the one the command line names gets
-its arguments (all of them do when it names none), so a run pays for
-one command's flags.  The help texts and error messages do not depend
-on this.
+The parser is built from one table of commands, ``_COMMANDS``.  A
+command line whose first word names a command is parsed by that
+command's parser alone, so a run pays for one command's flags; any
+other command line (``-h``, no command, an unknown one, a flag before
+the command) goes to the full parser, whose subparsers are the same
+commands, and so do unrecognized arguments, which it reports under its
+own usage line.  The help texts and error messages do not depend on
+which parser ran.
 
 The ``decohere`` columns come from one model, the photon-resolved
 branch model, in one call over the whole time grid,
@@ -32,8 +35,10 @@ is refused with exit code 1 before any array over it is built.
 ``wigner`` maps the synthesized cat; ``prep-cat`` and ``wigner``
 without ``--time`` refuse, with exit code 1, a cutoff too small for
 the synthesis or not above the mean photon number |alpha|^2 of the
-|alpha> branch.  ``wigner --time`` and the ``decohere --wigner-times``
-snapshots map the field of the branch model.  Both photon-resolved
+|alpha> branch, and warn (TruncationWarning) when the synthesis
+target, cut at N* photons, keeps less than 0.95 of the cat.
+``wigner --time`` and the ``decohere --wigner-times`` snapshots map
+the field of the branch model.  Both photon-resolved
 kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
 and |0, G> is their level 0.  ``decohere`` and ``wigner --time`` build
 the reservoir in _reservoir_from_config, which turns an alpha whose
@@ -58,7 +63,7 @@ import numpy as np
 
 from . import analysis, calib, catprep, dynamics, floquet, tomography
 from .config import MHZ, NS, ConfigError, load_config
-from .hilbert import DensityMatrix, SpaceLayout, density_from_state
+from .hilbert import DensityMatrix, SpaceLayout, TruncationWarning, density_from_state
 
 __all__ = ["main"]
 
@@ -212,7 +217,11 @@ def _require_synthesis_cutoff(cfg) -> None:
     mean photon number |alpha|^2 cannot hold the |alpha> branch: at
     cutoff 40 and alpha = 6.3, half the Poisson weight of |alpha> lies
     past the cutoff, and the synthesized cat's fidelity with the ideal
-    one is about 0.2.
+    one is about 0.2.  Both exit 1.  A cat that holds more than 5% of
+    its weight past the N* photons of the synthesis target (truncation
+    fidelity below 0.95, from alpha of about 3.85) runs with a
+    TruncationWarning: the synthesized cat is then about as far from
+    the ideal one (fidelity 0.64 at alpha = 5).
     """
     levels = catprep.N_STAR + 1
     if cfg.cutoff < levels:
@@ -225,6 +234,14 @@ def _require_synthesis_cutoff(cfg) -> None:
         raise CliError(
             f"scenario.alpha: {cfg.scenario.alpha!r} has a mean photon number "
             f"{_fmt(n_mean)} not below resonator.cutoff {cfg.cutoff}"
+        )
+    fidelity = catprep.truncation_fidelity(catprep.CatSpec(alpha=cfg.scenario.alpha))
+    if fidelity < 0.95:
+        warnings.warn(
+            f"scenario.alpha: {cfg.scenario.alpha!r}: the cat synthesis targets "
+            f"{catprep.N_STAR} photons, and its truncated cat has fidelity "
+            f"{fidelity:.3f} with the ideal one (below 0.95)",
+            TruncationWarning,
         )
 
 
@@ -320,15 +337,16 @@ def _field_state(cfg, spec: dynamics.ReservoirSpec, t_ns: float) -> DensityMatri
 def _write_wigner(path: str, wmap: tomography.WignerMap) -> None:
     """One row per grid point, im fastest; "%.12g" formats as _fmt does.
 
-    Each grid value is formatted once, and the W values one re-row at a
-    time, so the whole body is never held in memory.
+    Each grid value is formatted once.  A re-row's template is one join
+    of the "im,%.12g" parts on "\n" plus its "re," head, and one "%"
+    fills in its W values, so the whole body is never held in memory.
     """
-    im_tails = ["," + format(v, ".12g") + ",%.12g\n" for v in wmap.im_grid.tolist()]
+    im_parts = [f"{im:.12g},%.12g" for im in wmap.im_grid.tolist()]
     with _atomic_open(path) as fh:
         fh.write("re,im,w\n")
         for re_val, row in zip(wmap.re_grid.tolist(), wmap.values.tolist()):
-            head = format(re_val, ".12g")
-            fh.write("".join([head + tail for tail in im_tails]) % tuple(row))
+            head = f"{re_val:.12g},"
+            fh.write((head + ("\n" + head).join(im_parts) + "\n") % tuple(row))
 
 
 def _cmd_wigner(args) -> list[str]:
@@ -502,14 +520,20 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The catbath parser for the command line `argv` (without the program name).
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`parser` with the arguments and the handler of command `name`."""
+    func, _, arguments = _COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
 
-    Every command of _COMMANDS is a subparser, so `catbath -h` lists
-    them all and an unknown name is reported as before.  Only the
-    command that argv[0] names gets its arguments, since parsing argv
-    needs no other; when argv[0] names no command, every command gets
-    them.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full catbath parser: every command of _COMMANDS is a subparser.
+
+    `catbath -h` lists them all, and a command line that names no
+    command is reported under its usage line.
     """
     parser = _Parser(
         prog="catbath",
@@ -517,13 +541,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         "calibration, reservoir dynamics, tomography, and analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (func, help_text, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if named in (None, name):
-            for flags, kwargs in arguments:
-                p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=func)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -549,7 +568,15 @@ def _group_warnings(caught) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        # the subparser the full parser would run, on its own
+        name = argv[0]
+        parser = _command_parser(_Parser(prog=f"catbath {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

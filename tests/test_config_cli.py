@@ -514,6 +514,24 @@ def test_cat_synthesis_rejects_alpha_the_cutoff_cannot_hold(tmp_path, capsys, al
                  "--out", str(tmp_path / "wt.csv")]) == 0
 
 
+@pytest.mark.parametrize("alpha,fidelity", [(3.3, None), (4.0, "0.928")])
+def test_cat_synthesis_warns_when_its_target_cannot_hold_the_cat(tmp_path, alpha, fidelity):
+    # cutoff 40 holds |alpha>, but the synthesis targets N* = 6 photons:
+    # at alpha = 4 the truncated cat keeps 0.928 of the ideal one
+    path = _device_with_alpha(tmp_path, alpha)
+    steps, out = tmp_path / "s.csv", tmp_path / "w.csv"
+    for argv, log in ((["prep-cat", "--steps-out", str(steps), "--fock-out",
+                        str(tmp_path / "f.csv")], tmp_path / "s.csv.warnings.log"),
+                      (["wigner", "--out", str(out)], tmp_path / "w.csv.warnings.log")):
+        assert main([*argv, "--config", path]) == 0
+        if fidelity is None:
+            assert not log.exists()
+            continue
+        (line,) = log.read_text().splitlines()
+        assert line.startswith(f"TruncationWarning x1: scenario.alpha: {alpha!r}: ")
+        assert f"fidelity {fidelity} " in line
+
+
 def _load_demo():
     script = Path(__file__).parent.parent / "scripts" / "cat_synthesis_demo.py"
     spec = importlib.util.spec_from_file_location("cat_synthesis_demo", script)
@@ -796,21 +814,26 @@ def test_wigner_cli_map_is_finite(tmp_path, config_path):
 @pytest.mark.parametrize("re_grid,im_grid", [
     ([0.25], [-1.5]),
     ([-1.0, -0.0, 1e-9, 2.0 / 3.0], [-0.0, 0.1, 123456.789]),
+    ([0.5], [-1.0, -0.0, 1e-9, 2.5]),
+    ([-2.0, -0.0, 3.0], [0.75]),
 ])
 def test_write_wigner_formats_each_row_with_12_digits(tmp_path, re_grid, im_grid):
     rng = np.random.default_rng(4)
     values = rng.uniform(-0.6, 0.6, (len(re_grid), len(im_grid)))
-    values[0, 0] = -0.0
+    values.flat[-1] = 5e-320  # subnormal
+    values.flat[0] = -0.0
     wmap = WignerMap(np.array(re_grid), np.array(im_grid), values)
     path = tmp_path / "w.csv"
     _write_wigner(str(path), wmap)
     expected = "re,im,w\n" + "".join(
-        "%.12g,%.12g,%.12g\n" % (x, y, values[i, j])
+        f"{x:.12g},{y:.12g},{values[i, j]:.12g}\n"
         for i, x in enumerate(re_grid)
         for j, y in enumerate(im_grid)
     )
     assert path.read_bytes() == expected.encode()
     assert b",-0\n" in path.read_bytes()  # a W of -0.0 keeps its sign, as in "%.12g"
+    if values.size > 1:
+        assert f",{5e-320:.12g}\n".encode() in path.read_bytes()
 
 
 def test_wigner_time_maps_the_ideal_cat_without_synthesis(tmp_path, config_path, monkeypatch):
@@ -963,22 +986,50 @@ COMMAND_ARGV = {
 }
 
 
-def _help(parser, argv, capsys) -> str:
+def _without(argv: list[str], flag: str) -> list[str]:
+    """`argv` with `flag` and the values that follow it taken out."""
+    i = argv.index(flag)
+    j = i + 1
+    while j < len(argv) and not argv[j].startswith("--"):
+        j += 1
+    return argv[:i] + argv[j:]
+
+
+def _exit(parse, argv, capsys) -> tuple:
+    """Exit code, stdout and stderr of `parse(argv)`, which must exit."""
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    assert exc.value.code == 0
-    return capsys.readouterr().out
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
 
 
 @pytest.mark.parametrize("name", list(COMMAND_ARGV))
-def test_parser_for_one_command_matches_the_full_parser(name, capsys):
+def test_parser_for_one_command_matches_the_full_parser(name, capsys, monkeypatch):
+    # main parses a command line that names a command with that command's
+    # parser alone; the full parser, whose subparser it stands for, gives the
+    # same namespace, help, errors and exit codes
+    _, help_text, arguments = _COMMANDS[name]
+    seen = []
+    monkeypatch.setitem(_COMMANDS, name, (lambda args: seen.append(vars(args)) or [],
+                                         help_text, arguments))
     argv = [name] + COMMAND_ARGV[name]
-    full, one = build_parser(), build_parser(argv)
-    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
-    assert one.format_help() == full.format_help()
-    assert _help(one, [name, "-h"], capsys) == _help(full, [name, "-h"], capsys)
+    assert main(argv) == 0
+    full = vars(build_parser().parse_args(argv))
+    assert full.pop("command") == name
+    assert seen == [full]
+    cases = [[name, "-h"], argv + ["--bogus", "x"], [name, "--bogus"] + COMMAND_ARGV[name]]
+    required = [flags[0] for flags, kwargs in arguments if kwargs.get("required")]
+    cases += [_without(argv, flag) for flag in required]
+    cases += [
+        argv[: argv.index(flags[0]) + 1] + ["nan"] + argv[argv.index(flags[0]) + 2 :]
+        for flags, kwargs in arguments
+        if kwargs.get("type") is cli._finite_float and flags[0] in argv
+    ]
+    for case in cases:
+        expected = _exit(build_parser().parse_args, case, capsys)
+        assert _exit(main, case, capsys) == expected
+        assert expected[0] == (0 if "-h" in case else 1)
     # catbath -h lists every command
-    assert all(command in full.format_help() for command in _COMMANDS)
+    assert all(command in build_parser().format_help() for command in _COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "c.yaml", "decohere"]],
