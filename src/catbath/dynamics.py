@@ -32,14 +32,15 @@ floquet.
   and 5.
 
 Exact propagation is the reference for both.  evolve_excitation_blocks
-applies the sparse Hamiltonian by a Chebyshev series at any register
+applies the reservoir Hamiltonian by a Chebyshev series at any register
 size.  It builds the Hamiltonian only on the excitation levels the state
-occupies, since H never leaves a level, and keeps the operator of its
-last call, so a repeated call on the same Hamiltonian and levels costs
-the series alone.  Its rows are in the qubit-parity order of the split
-that hilbert._chebyshev_operator explains: at delta = 0 the cat (x) |G>
-lies on the even half, and each term of the series is one half-size
-product.  The dense reservoir_hamiltonian with hilbert.evolve is kept
+occupies, since H never leaves a level, as per-qubit partner tables
+taken straight from the basis bits, and keeps the operator of its last
+call, so a repeated call on the same Hamiltonian and levels costs the
+series alone.  Its rows are in the qubit-parity order of the split that
+hilbert._chebyshev_operator explains: at delta = 0 the cat (x) |G> lies
+on the even half, and each term of the series is one half-size gather
+and sum.  The dense reservoir_hamiltonian with hilbert.evolve is kept
 as the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
@@ -530,28 +531,39 @@ def _excitation_numbers(n_qubits: int, cutoff: int) -> np.ndarray:
     return (np.arange(cutoff)[:, None] + popcount).ravel()
 
 
-def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray):
-    """(diag, src, dst, amp) of H on the basis indices `rows`, as positions in `rows`.
+def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray, split: int):
+    """(diag, partner, amp) of H on the basis indices `rows`, as positions in `rows`.
 
     Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
     b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
     lambda_k/2 sqrt(n+1), and delta_k adds to the diagonal.  `rows`
     must be nonempty and hold whole excitation levels, so that every
-    partner of a row is itself in `rows`; their order is free.
+    partner of a row is itself in `rows`, and rows[:split] must be the
+    rows of one qubit parity, in any order.  Each exchange term flips
+    one qubit, so every coupling has one end there, and the (N, split)
+    tables of hilbert._chebyshev_operator list it from that end,
+    straight from the bits: partner[k, i] is the position of the row
+    that qubit k's term couples rows[i] to, a photon up if qubit k is
+    excited and down if not, and amp[k, i] = lambda_k/2 sqrt(n_g), with
+    n_g the photon number of the end with qubit k in g.  Where n_g is 0
+    or cutoff there is no such row: partner is split and amp 0.
     """
     n_q = spec.n_qubits
     width = 2**n_q
     photons, pattern = np.divmod(rows, width)
-    qubit_bit = 1 << np.arange(n_q - 1, -1, -1)  # bit of qubit k in b
-    excited = (pattern[:, None] & qubit_bit) > 0
-    diag = excited @ np.asarray(spec.detunings)
-    # a^dag |g><e|_k: photon up, qubit k down
-    src, k = np.nonzero(excited & (photons[:, None] + 1 < cutoff))
-    position = np.empty(rows.max() + 1, dtype=int)  # of each basis index in rows
+    qubit_bit = (1 << np.arange(n_q - 1, -1, -1))[:, None]  # bit of qubit k in b
+    excited = (pattern & qubit_bit) > 0
+    diag = np.einsum("kn,k->n", excited, np.asarray(spec.detunings))
+    # qubit k excited: its partner has a photon more and qubit k in g, else the reverse
+    up = excited[:, :split]
+    n_g = photons[:split] + up
+    coupled = (n_g > 0) & (n_g < cutoff)
+    position = np.zeros(rows.max() + 1, dtype=np.intp)  # of each basis index in rows
     position[rows] = np.arange(rows.size)
-    dst = position[rows[src] + width - qubit_bit[k]]
-    amp = np.asarray(spec.couplings)[k] / 2.0 * np.sqrt(photons[src] + 1.0)
-    return diag, src, dst, amp
+    target = rows[:split] + np.where(up, width - qubit_bit, qubit_bit - width)
+    partner = np.where(coupled, position.take(target, mode="clip"), split)
+    amp = np.where(coupled, np.asarray(spec.couplings)[:, None] / 2.0 * np.sqrt(n_g), 0.0)
+    return diag, partner, amp
 
 
 @functools.lru_cache(maxsize=1)
@@ -561,9 +573,10 @@ def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
     `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
     rows with an even number of excited qubits come first and those
     with an odd number follow, each in index order: the parity split of
-    hilbert._chebyshev_operator, at `split`.
+    hilbert._chebyshev_operator, at `split`, whose tables
+    _exchange_terms lists from the even rows.
     The operator of the last (spec, cutoff, occupied) is kept, about
-    1 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
+    1.1 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
     and one set of levels skips the build.
     """
     levels = np.frombuffer(occupied, dtype=bool)
@@ -573,34 +586,39 @@ def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
     odd = (excitation[rows] - (rows >> spec.n_qubits)) % 2 == 1
     rows = np.concatenate([rows[~odd], rows[odd]])
     split = rows.size - np.count_nonzero(odd)
-    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows), split)
+    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows, split))
 
 
 def evolve_excitation_blocks(
     spec: ReservoirSpec, psi: StateVector, t: float, cutoff: int
 ) -> StateVector:
-    """Exact propagation exp(-iHt) psi of the sparse reservoir Hamiltonian.
+    """Exact propagation exp(-iHt) psi of the reservoir Hamiltonian.
 
     H never couples two total excitation numbers m = a^dag a + sum_k
     |e><e|_k, so a level where psi is zero stays exactly zero, and the
     population of each level is conserved without splitting the state
     into blocks.  H is built by _exchange_terms on the rows of the
-    levels psi occupies only, with at most N + 1 nonzeros per row; it is
-    real, and hilbert._chebyshev_propagate applies it in about r|t|
-    terms, r the half-width of the Gershgorin bound on the spectrum of
-    those rows.  A state in low levels thus gets a short series, and a
-    zero state returns zeros.  Each term is one real sparse product per
-    nonzero part (real, imaginary) of the state: at delta = 0 a
-    half-size product per qubit-parity half the part occupies (the cat
-    (x) |G> occupies one), and otherwise one with the whole H (see
-    hilbert._chebyshev_operator).  The operator of the last call is
-    kept, so a call with the same spec, cutoff and occupied levels skips
-    the build.  t may be negative; it must be finite.
+    levels psi occupies only, as one partner table per qubit (at most
+    N couplings per row); it is real, and hilbert._chebyshev_propagate
+    applies it in about r|t| terms, r the half-width of the Gershgorin
+    bound on the spectrum of those rows.  A state in low levels thus
+    gets a short series, and a zero state returns zeros.  Each term is
+    one gather and one weighted sum per nonzero part (real, imaginary)
+    of the state: at delta = 0 on one parity half per half the part
+    occupies (the cat (x) |G> occupies one), and otherwise on all its
+    rows (see hilbert._chebyshev_operator).  The operator of the last
+    call is kept, so a call with the same spec, cutoff and occupied
+    levels skips the build.  t may be negative; it must be finite, and
+    so must every amplitude of psi: a non-finite one is an error that
+    names its index, raised before any build.
     """
     _require_finite(t)
     layout = _layout(spec, cutoff)
     if psi.layout != layout:
         raise ValueError("state layout does not match the reservoir layout")
+    bad = np.flatnonzero(~np.isfinite(psi.amps))
+    if bad.size:
+        raise ValueError(f"psi must be finite: amplitude {bad[0]} is {psi.amps[bad[0]]}")
     excitation = _excitation_numbers(spec.n_qubits, cutoff)
     occupied = np.bincount(
         excitation[np.flatnonzero(psi.amps)], minlength=cutoff + spec.n_qubits

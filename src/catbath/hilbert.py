@@ -10,8 +10,8 @@ state's layout; DensityMatrix adds validate().  annihilation and
 displacement return plain complex arrays.
 
 The closed forms the other modules share have their one copy here:
-the truncated coherent amplitudes, the Bessel orders, the sparse
-Chebyshev propagator, and the two-level exchange step of the
+the truncated coherent amplitudes, the Bessel orders, the Chebyshev
+propagator on partner tables, and the two-level exchange step of the
 Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  _coherent_amplitudes
 gives the coherent amplitudes in one log-space pass as (u, s): u
 scaled to a largest magnitude of 1, which renormalizes at any |alpha|,
@@ -32,8 +32,9 @@ addition.
 
 The Chebyshev propagator takes a real H that is bipartite off its
 diagonal, as the reservoir Hamiltonian is between the rows of even and
-of odd qubit parity; _chebyshev_operator explains how it uses that
-split.
+of odd qubit parity, with its couplings in per-slot partner tables;
+_chebyshev_operator explains how it uses that split.  Its terms are
+numpy gathers and sums, so no module of the package imports scipy.
 
 All frequencies are angular (rad/s) and all times are seconds.
 """
@@ -255,8 +256,8 @@ def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = No
     """exp(-iHt) x for H = v diag(w) v^dagger; the propagator itself if x is None.
 
     `x` may be a vector or a matrix.  Every dense unitary step in the
-    package goes through here; sparse Hamiltonians go through
-    _chebyshev_propagate.
+    package goes through here; the reservoir Hamiltonian, kept as
+    partner tables, goes through _chebyshev_propagate.
     """
     vp = v * np.exp(-1j * w * t)
     return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
@@ -353,82 +354,92 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     return j[: n_max + 1]
 
 
-def _chebyshev_operator(
-    diag: np.ndarray, src: np.ndarray, dst: np.ndarray, amp: np.ndarray, split: int
-):
+def _chebyshev_operator(diag: np.ndarray, partner: np.ndarray, amp: np.ndarray):
     """(c, r, starts): the operator that _chebyshev_propagate applies.
 
-    H has the real diagonal `diag` and the real off-diagonal elements
-    H[src, dst] = H[dst, src] = amp, each pair listed once; a complex
-    `diag` or `amp` is an error.  [c - r, c + r] is the Gershgorin
-    interval of its spectrum and H~ = (H - c)/r.  The values stored are
-    those of 2H~, the recurrence's factor 2 included (doubling is exact),
-    without the diagonal entries equal to c, which are zero in H~.
+    H is real and symmetric.  Its diagonal is `diag`, and its couplings
+    come in (slots, split) partner tables, listed from the rows below
+    split = partner.shape[1]: amp[k, i] = H[i, partner[k, i]] =
+    H[partner[k, i], i] is the coupling of row i in slot k, and amp 0
+    means none (dynamics._exchange_terms then points partner at split).
+    A slot must be a matching: no row is the partner of two rows in
+    one slot.  A complex `diag` or `amp` is an error.  [c - r, c + r]
+    is the Gershgorin interval of its spectrum, r the largest row sum
+    of |amp| plus |diag - c|, and H~ = (H - c)/r.  The values stored are
+    those of 2H~, the recurrence's factor 2 included (doubling is exact).
     Build it once and apply it at any number of times.
 
     The parity split.  The rows below `split` are the even half and the
-    others the odd half, and each pair must join one row of each (a pair
-    within one half is an error): H is bipartite off its diagonal, as
-    the reservoir Hamiltonian is between the rows with an even and an
+    others the odd half, and each coupling must join one row of each (a
+    partner below split is an error): H is bipartite off its diagonal,
+    as the reservoir Hamiltonian is between the rows with an even and an
     odd number of excited qubits (each exchange term flips one qubit).
     In this order
 
         2H~ = [[D_e, B], [B^T, D_o]].
 
-    With no diagonal stored (a resonant H), 2H~ takes each half to the
-    other, so a vector v on the even half has T_k(H~) v on the even half
-    for even k and on the odd half for odd k, and the recurrence runs on
-    half-length vectors with the half-size B (even k) and B^T (odd k);
-    from the odd half it runs with the two swapped.  A start is (its
-    rows, the other half's rows, (matrix for even k, matrix for odd k)):
+    B is the even table: the odd-half positions of the partners,
+    counted from split, with the weights 2 amp / r.  B^T is the odd
+    table, its per-slot inverse, made by one scatter, so 2H~ is
+    symmetric by construction; there a row with no partner points at
+    position 0 with weight 0.  A half with no rows leaves the other with
+    no coupling, so a resonant H has r = 0 there and its series stops
+    at T_1, before any table gathers from the empty half.  A table is
+    (partner, weight, diagonal), each a C-contiguous array (a strided
+    one gathers far slower), and its product with v is
+
+        np.einsum("kn,kn->n", np.take(v, partner), weight) + diagonal v,
+
+    a gather and a weighted sum over the slots with no BLAS call, so no
+    thread count moves the digits.
+
+    With no diagonal stored (a resonant H, diag all equal to c), 2H~
+    takes each half to the other, so a vector v on the even half has
+    T_k(H~) v on the even half for even k and on the odd half for odd k,
+    and the recurrence runs on half-length vectors with B (even k) and
+    B^T (odd k), neither with a diagonal (None); from the odd half it
+    runs with the two swapped.  A start is (its rows, the other half's
+    rows, (table for even k, table for odd k)):
 
         (even rows, odd rows, (B, B^T)) and (odd rows, even rows, (B^T, B)).
 
-    B and B^T are the even and the odd rows of one CSR build, on its
-    arrays, with B's columns counted from the first odd row; no whole
-    2H~ is kept.  A stored diagonal mixes the halves within two terms,
-    so its one start is all rows, with (2H~, 2H~).
+    A stored diagonal mixes the halves within two terms, so its one
+    start is all rows, with one table over all of them for both k: the
+    two halves' tables side by side, partners as positions in the whole
+    order, and the diagonal 2(diag - c)/r.
     """
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
-    if np.any((src < split) == (dst < split)):
+    dim, split = diag.size, partner.shape[1]
+    coupled = amp != 0
+    if np.any(coupled & (partner < split)):
         raise ValueError("a coupling joins two rows of one parity: H is not bipartite")
-    # imported here: the exact block engine is the package's only user of
-    # scipy, and a module-level import would load it on every CLI start
-    from scipy import sparse
-
-    dim = diag.size
-    radius = np.bincount(src, np.abs(amp), dim) + np.bincount(dst, np.abs(amp), dim)
+    slots, n_odd = amp.shape[0], dim - split
+    partner = partner - split
+    # the odd table by one scatter: each coupling lands on its odd end, and
+    # an entry with no partner in a spare column, cut off after
+    at = np.where(coupled, partner, n_odd) + (n_odd + 1) * np.arange(slots)[:, None]
+    odd_partner = np.zeros((slots, n_odd + 1), dtype=np.intp)
+    odd_amp = np.zeros(odd_partner.shape)
+    odd_partner.ravel()[at] = np.arange(split)
+    odd_amp.ravel()[at] = amp
+    odd_partner, odd_amp = (np.ascontiguousarray(a[:, :n_odd]) for a in (odd_partner, odd_amp))
+    radius = np.concatenate([np.abs(amp).sum(axis=0), np.abs(odd_amp).sum(axis=0)])
     lo, hi = np.min(diag - radius), np.max(diag + radius)
     # a diagonal H with one value has r = 0; any r > 0 then bounds it
     c, r = (hi + lo) / 2.0, max((hi - lo) / 2.0, np.finfo(float).tiny)
-    shifted = np.flatnonzero(diag != c)
-    # int32 indices, and arrays that die with the call, keep the assembly small
-    as_int32 = {"dtype": np.int32, "casting": "same_kind"}
-    two_h = sparse.csr_matrix(
-        (
-            np.concatenate([diag[shifted] - c, amp, amp]) / r * 2.0,
-            (
-                np.concatenate([shifted, src, dst], **as_int32),
-                np.concatenate([shifted, dst, src], **as_int32),
-            ),
-        ),
-        shape=(dim, dim),
-    )
-    if shifted.size:
+    even_weight, odd_weight = amp / r * 2.0, odd_amp / r * 2.0
+    if np.any(diag != c):
         rows = slice(0, dim)
-        return c, r, ((rows, rows, (two_h, two_h)),)
-    data, indices, indptr = two_h.data, two_h.indices, two_h.indptr
-    cut = indptr[split]
-    indices[:cut] -= split  # B's columns, counted from the first odd row
-    b = sparse.csr_matrix(
-        (data[:cut], indices[:cut], indptr[: split + 1]), shape=(split, dim - split)
-    )
-    b_t = sparse.csr_matrix(
-        (data[cut:], indices[cut:], indptr[split:] - cut), shape=(dim - split, split)
-    )
+        whole = (
+            np.concatenate([partner + split, odd_partner], axis=1),
+            np.concatenate([even_weight, odd_weight], axis=1),
+            (diag - c) / r * 2.0,
+        )
+        return c, r, ((rows, rows, (whole, whole)),)
+    even_table, odd_table = (partner, even_weight, None), (odd_partner, odd_weight, None)
     even, odd = slice(0, split), slice(split, dim)
-    return c, r, ((even, odd, (b, b_t)), (odd, even, (b_t, b)))
+    return c, r, ((even, odd, (even_table, odd_table)), (odd, even, (odd_table, even_table)))
 
 
 def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
@@ -442,10 +453,12 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     the operator (see _chebyshev_operator for the parity split).  A
     piece that is all zero is skipped.  Its even terms land on the
     start's rows, and its odd terms, which carry the factor -i, on the
-    other half's rows.  The series stops at the last term whose
+    other half's rows.  Each term is one table product
+    (_chebyshev_sums).  The series stops at the last term whose
     coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster than
     exponentially once k > |rt|, so the cost is about r|t| terms per
-    nonzero piece.  t may be negative.
+    nonzero piece.  t may be negative.  x must be finite: a row with no
+    partner reads position 0 at weight 0, and 0 * inf is NaN.
     """
     c, r, starts = operator
     z = r * t
@@ -458,25 +471,37 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     coef = coef[: max(np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1, 2)]
     out = np.zeros(x.size, dtype=complex)
     for part, unit in ((x.real, 1.0), (x.imag, 1j)):
-        for here, there, mats in starts:
+        for here, there, tables in starts:
             v = part[here]
             if v.any():
-                even, odd = _chebyshev_sums(mats, coef, v)
+                even, odd = _chebyshev_sums(tables, coef, v)
                 out[here] += unit * even
                 out[there] += -1j * unit * odd
     return np.exp(-1j * c * t) * out
 
 
-def _chebyshev_sums(mats, coef, v):
+def _chebyshev_sums(tables, coef, v):
     """[sum over even k, sum over odd k] of coef_k T_k(H~) v.
 
-    T_1 = (1/2) mats[1] v and T_k = mats[k % 2] T_(k-1) - T_(k-2), with
-    mats the (even k, odd k) pair of 2H~ of one start.
+    T_1 = (1/2) P_1 v and T_k = P_(k % 2) T_(k-1) - T_(k-2), with P_j
+    the product of 2H~ by tables[j], the (even k, odd k) pair of one
+    start.  Each product gathers into one scratch array per table,
+    allocated once.
     """
-    prev, cur = v, 0.5 * (mats[1] @ v)
+    scratch = [np.empty(partner.shape) for partner, _, _ in tables]
+
+    def product(j, x):
+        partner, weight, diagonal = tables[j]
+        np.take(x, partner, out=scratch[j], mode="clip")
+        y = np.einsum("kn,kn->n", scratch[j], weight)
+        if diagonal is not None:
+            y += diagonal * x
+        return y
+
+    prev, cur = v, 0.5 * product(1, v)
     sums = [coef[0] * prev, coef[1] * cur]
     for k in range(2, coef.size):
-        nxt = mats[k % 2] @ cur
+        nxt = product(k % 2, cur)
         nxt -= prev
         prev, cur = cur, nxt
         sums[k % 2] += coef[k] * cur

@@ -925,19 +925,50 @@ def test_malformed_yaml_is_config_error(tmp_path):
 
 
 def test_cli_runs_load_no_scipy(tmp_path, config_path):
-    # a fresh interpreter: the test session itself has imported scipy
+    # a fresh interpreter in which scipy cannot be imported: the test session
+    # itself has imported it.  Every command runs, and so does the exact engine
+    (tmp_path / "p.csv").write_text(
+        "name,xi_MHz,eps_MHz,nu_MHz,delta_MHz,K_MHz\nR1,19.6,81.5,190,0,250\n"
+    )
+    taus = np.arange(240) * 0.5
+    rabi = 0.5 - 0.5 * np.cos(2.0 * 19.8 * 2.0 * math.pi * 1e-3 * taus)
+    (tmp_path / "r.csv").write_text(
+        "tau_ns,pe\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(taus.tolist(), rabi.tolist()))
+    )
+    (tmp_path / "b.csv").write_text(
+        "qubit,re00,im00,re01,im01,re10,im10,re11,im11\nR1,0.5,0,0.5,0,0.5,0,0.5,0\n"
+    )
+    (tmp_path / "a.csv").write_text("i,j,alpha\n2,1,0.05\n1,2,0.02\n")
+    (tmp_path / "t.csv").write_text("i,z_eff\n1,1\n2,0\n")
     script = f"""
 import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from catbath import dynamics, hilbert
 from catbath.cli import main
 from catbath.config import load_config
 load_config({config_path!r})
 out = {str(tmp_path)!r}
-assert main(["decohere", "--config", {config_path!r}, "--n-qubits", "2", "--t-max", "4",
-             "--dt", "1", "--out", out + "/d.csv"]) == 0
-assert main(["wigner", "--config", {config_path!r}, "--out", out + "/w.csv"]) == 0
-assert main(["prep-cat", "--config", {config_path!r}, "--steps-out", out + "/s.csv",
-             "--fock-out", out + "/f.csv"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+c = ["--config", {config_path!r}]
+assert main(["decohere", *c, "--n-qubits", "2", "--t-max", "4", "--dt", "1",
+             "--out", out + "/d.csv"]) == 0
+assert main(["wigner", *c, "--out", out + "/w.csv"]) == 0
+assert main(["prep-cat", *c, "--steps-out", out + "/s.csv", "--fock-out", out + "/f.csv"]) == 0
+assert main(["floquet-calib", "--params", out + "/p.csv", "--out", out + "/q.csv"]) == 0
+assert main(["fit-rabi", "--data", out + "/r.csv", "--xi-mhz", "19.8", "--n-max", "4",
+             "--out", out + "/n.csv"]) == 0
+assert main(["disting", "--branches", out + "/b.csv"]) == 0
+assert main(["crosstalk-solve", "--coeffs", out + "/a.csv", "--targets", out + "/t.csv",
+             "--out", out + "/z.csv"]) == 0
+re, im = np.random.default_rng(3).normal(size=(2, 64))
+amps = re + 1j * im
+psi = hilbert.StateVector(hilbert.SpaceLayout((8, 2, 2, 2)), amps / np.linalg.norm(amps))
+for detunings in ((0.0, 0.0, 0.0), (0.0, 5.0e6, 0.0)):
+    spec = dynamics.ReservoirSpec((2.0e7, 3.1e7, 4.4e7), detunings, 10.89)
+    got = dynamics.evolve_excitation_blocks(spec, psi, 61e-9, 8)
+    want = hilbert.evolve(dynamics.reservoir_hamiltonian(spec, 8), psi, 61e-9)
+    assert np.max(np.abs(got.amps - want.amps)) < 1e-12
+print(json.dumps(sorted(m for m, v in sys.modules.items() if m.split(".")[0] == "scipy" and v)))
 """
     src = os.path.dirname(os.path.dirname(catbath.__file__))
     env = dict(os.environ)
@@ -947,7 +978,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
-    assert (tmp_path / "d.csv").exists() and (tmp_path / "w.csv").exists()
+    for name in ("d", "w", "s", "f", "q", "n", "z"):
+        assert (tmp_path / f"{name}.csv").exists()
 
 
 def test_decohere_grid_past_the_cap_exits_1(tmp_path, config_path, capsys, monkeypatch):

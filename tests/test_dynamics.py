@@ -377,49 +377,61 @@ def test_resonant_engine_matches_block_eigh_oracle_n8():
 
 
 def test_resonant_operator_stores_no_diagonal_and_half_the_couplings():
-    # N = 8, cutoff 40, the levels of the cat: 2H~ stores 72 704 couplings,
-    # kept as B (the even rows) and B^T (the odd rows), with no whole 2H~
+    # N = 8, cutoff 40, the levels of the cat: 72 704 couplings, each once in
+    # the even table B and once in the odd table B^T, with no diagonal
     spec = table_spec(8)
     cutoff = 40
     levels = np.arange(cutoff + 8) < cutoff
     rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
-    (even, odd, (b, b_t)), (odd_start, even_other, odd_mats) = starts
-    split, dim = b.shape[0], rows.size
-    assert c == 0.0
+    (even, odd, (b, b_t)), (odd_start, even_other, odd_tables) = starts
+    (partner, weight, diagonal), (partner_t, weight_t, diagonal_t) = b, b_t
+    split, dim = partner.shape[1], rows.size
+    assert c == 0.0 and diagonal is None and diagonal_t is None
     assert (even, odd) == (slice(0, split), slice(split, dim))
     assert (odd_start, even_other) == (odd, even)
-    assert odd_mats[0] is b_t and odd_mats[1] is b
-    assert b.shape == (split, dim - split) and b_t.shape == (dim - split, split)
-    assert b.nnz == b_t.nnz == 36_352 and b.nnz + b_t.nnz == 72_704
-    # B's columns count from the odd half's first row, and B^T is its transpose
-    assert 0 <= b.indices.min() and b.indices.max() < dim - split
-    assert 0 <= b_t.indices.min() and b_t.indices.max() < split
-    assert (b.T != b_t).nnz == 0
+    assert odd_tables[0] is b_t and odd_tables[1] is b
+    assert partner.shape == weight.shape == (8, split)
+    assert partner_t.shape == weight_t.shape == (8, dim - split)
+    assert all(a.flags.c_contiguous for a in (partner, weight, partner_t, weight_t))
+    assert np.count_nonzero(weight) == np.count_nonzero(weight_t) == 36_352
+    # partners count from the other half's first row; a missing one is 0 at weight 0
+    assert 0 <= partner.min() and partner.max() < dim - split
+    assert 0 <= partner_t.min() and partner_t.max() < split
+    assert np.all(partner[weight == 0] == 0) and np.all(partner_t[weight_t == 0] == 0)
+    # the odd table is the per-slot inverse of the even one
+    slot, row = np.nonzero(weight)
+    assert np.array_equal(partner_t[slot, partner[slot, row]], row)
+    assert np.array_equal(weight_t[slot, partner[slot, row]], weight[slot, row])
     # the halves are the rows of even and of odd qubit parity, each in order
     parity = np.array([bin(k).count("1") % 2 for k in range(2**8)])[rows % 2**8]
     assert np.all(parity[:split] == 0) and np.all(parity[split:] == 1)
     assert np.all(np.diff(rows[:split]) > 0) and np.all(np.diff(rows[split:]) > 0)
-    # B and B^T are the two ends of one data array and one index array
-    assert b.data.base is not None and b.data.base is b_t.data.base
-    assert b.indices.base is not None and b.indices.base is b_t.indices.base
-    assert b.data.base.size == 72_704
 
 
 def test_detuned_operator_keeps_each_halfs_diagonal():
     # a detuning on one qubit gives H a diagonal, which mixes the halves:
-    # one start over all rows with the whole 2H~, which stores entries of
-    # the diagonal in the rows of both halves
+    # one start over all rows with one table over all of them, whose
+    # diagonal has entries in the rows of both halves, and which is 2H~ of
+    # the dense Hamiltonian on those rows
     spec = ReservoirSpec(table_spec(3).couplings, (0.0, 2.0 * MHZ, 0.0), N_MEAN)
     cutoff = 6
     levels = np.ones(cutoff + 3, dtype=bool)
     rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
-    ((here, there, (two_h, same)),) = starts
+    ((here, there, (whole, same)),) = starts
+    partner, weight, diagonal = whole
     dim = rows.size
     assert here == there == slice(0, dim)
-    assert same is two_h and two_h.shape == (dim, dim)
+    assert same is whole and partner.shape == weight.shape == (3, dim)
     split = np.count_nonzero(np.array([bin(k).count("1") % 2 for k in range(8)])[rows % 8] == 0)
-    diagonal = two_h.diagonal()
     assert np.any(diagonal[:split] != 0) and np.any(diagonal[split:] != 0)
+    two_h = np.diag(diagonal)
+    np.add.at(two_h, (np.broadcast_to(np.arange(dim), partner.shape), partner), weight)
+    h = reservoir_hamiltonian(spec, cutoff).mat.real[np.ix_(rows, rows)]
+    assert np.max(np.abs(two_h - 2.0 * (h - c * np.eye(dim)) / r)) < 1e-14
+    # [c - r, c + r] is the Gershgorin interval of h
+    radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
+    lo, hi = np.min(np.diag(h) - radius), np.max(np.diag(h) + radius)
+    assert abs(c - (hi + lo) / 2.0) <= 1e-14 * r and abs(r - (hi - lo) / 2.0) <= 1e-14 * r
     layout = SpaceLayout((cutoff,) + (2,) * 3)
     psi0 = _random_state(layout, 3)
     dense = evolve(reservoir_hamiltonian(spec, cutoff), psi0, 47.0 * NS)
@@ -429,28 +441,32 @@ def test_detuned_operator_keeps_each_halfs_diagonal():
 
 @pytest.mark.parametrize("half", ["even", "odd"])
 def test_chebyshev_series_on_one_half(half):
-    # a path of four rows, 0-2-1-3, with rows 0 and 1 the even half: a
+    # a path of four rows, 0-2-1-3, with rows 0 and 1 the even half, in two
+    # slots listed from the even rows (slot 1 has no partner for row 0): a
     # vector on one half runs on alternating halves, both starts agree with
     # the dense exponential, and with a diagonal both halves fill in
-    src, dst = np.array([0, 2, 1]), np.array([2, 1, 3])
-    amp = np.array([0.7, -1.3, 0.4])
+    partner = np.array([[2, 3], [2, 2]])
+    amp = np.array([[0.7, 0.4], [0.0, -1.3]])
     x = np.zeros(4)
     x[[0, 1] if half == "even" else [2, 3]] = [0.6, -0.8]
     for diag in (np.zeros(4), np.array([0.0, 0.3, -0.2, 0.0])):
         h = np.diag(diag)
-        h[src, dst] = h[dst, src] = amp
+        h[[0, 1, 1], [2, 3, 2]] = h[[2, 3, 2], [0, 1, 1]] = [0.7, 0.4, -1.3]
         w, v = np.linalg.eigh(h)
         for t in (0.9, -4.2, 30.0):
             want = v @ (np.exp(-1j * w * t) * (v.T @ x))
-            got = _chebyshev_propagate(_chebyshev_operator(diag, src, dst, amp, 2), t, x)
+            got = _chebyshev_propagate(_chebyshev_operator(diag, partner, amp), t, x)
             assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_chebyshev_rejects_a_coupling_within_one_parity():
-    # rows 0 and 1 are the even half, rows 2 and 3 the odd one
-    for src, dst in ((0, 1), (3, 2)):
+    # rows 0 and 1 are the even half, rows 2 and 3 the odd one: a partner
+    # below 2 joins two even rows, or an even row to itself
+    for partner in ([[1, 2]], [[2, 0]], [[0, 3]]):
         with pytest.raises(ValueError, match="two rows of one parity"):
-            _chebyshev_operator(np.zeros(4), np.array([src]), np.array([dst]), np.array([0.5]), 2)
+            _chebyshev_operator(np.zeros(4), np.array(partner), np.array([[0.5, 0.5]]))
+    # an entry at amp 0 is no coupling, wherever it points
+    _chebyshev_operator(np.zeros(4), np.array([[1, 2]]), np.array([[0.0, 0.5]]))
 
 
 def test_engine_long_time_matches_dense():
@@ -490,13 +506,16 @@ def _excitation(layout: SpaceLayout) -> np.ndarray:
     return sum(np.unravel_index(np.arange(layout.dim), layout.dims))
 
 
-@pytest.mark.parametrize("part", ["real", "imaginary", "mixed", "level-1", "level-cutoff"])
+@pytest.mark.parametrize(
+    "part", ["real", "imaginary", "mixed", "level-0", "level-1", "level-cutoff"]
+)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_engine_state_parts_match_dense(part, n):
     # a purely real or imaginary state skips one of the two real series; a
     # state in one excitation level runs on that level's rows only, also a
-    # level m >= cutoff, and every other level stays exactly zero; at N = 1
-    # level cutoff is the one row |cutoff - 1, e>, so the even half is empty
+    # level m >= cutoff, and every other level stays exactly zero; level 0
+    # is the one row |0, G>, so the odd half is empty, and at N = 1 level
+    # cutoff is the one row |cutoff - 1, e>, so the even half is empty
     spec = ReservoirSpec(
         table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
     )
@@ -509,6 +528,7 @@ def test_engine_state_parts_match_dense(part, n):
         "real": re,
         "imaginary": 1j * im,
         "mixed": re + 1j * im,
+        "level-0": np.where(excitation == 0, re + 1j * im, 0.0),
         "level-1": np.where(excitation == 1, re + 1j * im, 0.0),
         "level-cutoff": np.where(excitation == cutoff, re + 1j * im, 0.0),
     }[part]
@@ -553,10 +573,25 @@ def test_engine_kept_operator_follows_spec_and_levels():
 
 @pytest.mark.parametrize("arg", ["diag", "amp"])
 def test_chebyshev_rejects_complex_hamiltonian(arg):
-    args = {"diag": np.zeros(3), "amp": np.array([0.5])}
+    args = {"diag": np.zeros(3), "amp": np.array([[0.5]])}
     args[arg] = args[arg].astype(complex)
     with pytest.raises(ValueError, match="real symmetric"):
-        _chebyshev_operator(args["diag"], np.array([0]), np.array([1]), args["amp"], 1)
+        _chebyshev_operator(args["diag"], np.array([[1]]), args["amp"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.3, -math.inf)])
+def test_engine_rejects_non_finite_state(bad):
+    # a row with no partner reads position 0 at weight 0, so one inf would
+    # spread NaN through 0 * inf: the state is refused before any build
+    spec = table_spec(2)
+    cutoff = 12
+    layout = SpaceLayout((cutoff, 2, 2))
+    amps = _random_state(layout, 2).amps.copy()
+    amps[[17, 30]] = bad
+    kept = _level_operator.cache_info()
+    with pytest.raises(ValueError, match="psi must be finite: amplitude 17 is "):
+        evolve_excitation_blocks(spec, StateVector(layout, amps), 50 * NS, cutoff)
+    assert _level_operator.cache_info() == kept
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
