@@ -145,7 +145,7 @@ def _read_csv(path: str, required: list[str]) -> tuple[list[str], list[list[str]
             missing = [c for c in required if c not in header]
             if missing:
                 raise CliError(f"{path}: missing columns {missing}")
-            return header, [row for row in reader if row]
+            return header, list(filter(None, reader))
     except OSError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -195,6 +195,21 @@ def _float_field(text, key: str, path: str) -> float:
     if not math.isfinite(value):
         raise CliError(f"{path}: non-finite value for {key}: {text!r}")
     return value
+
+
+def _float_column(texts: list, key: str, path: str) -> np.ndarray:
+    """The cells `texts` of column `key` as an array of finite floats.
+
+    One float pass over the column and one finiteness check; on a bad
+    cell, the cell-by-cell _float_field raises for the first one.
+    """
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+        if np.isfinite(values).all():
+            return values
+    except (TypeError, ValueError):
+        pass
+    return np.array([_float_field(text, key, path) for text in texts])
 
 
 def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
@@ -371,8 +386,8 @@ def _cmd_wigner(args) -> list[str]:
 def _cmd_fit_rabi(args) -> list[str]:
     header, rows = _read_csv(args.data, ["tau_ns", "pe"])
     tau_texts, pe_texts = _columns(header, rows, ["tau_ns", "pe"])
-    taus = np.array([_float_field(text, "tau_ns", args.data) for text in tau_texts]) * NS
-    pe = np.array([_float_field(text, "pe", args.data) for text in pe_texts])
+    taus = _float_column(tau_texts, "tau_ns", args.data) * NS
+    pe = _float_column(pe_texts, "pe", args.data)
     if args.noise < 0:
         raise CliError("--noise must be nonnegative")
     if args.seed < 0:

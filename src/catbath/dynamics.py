@@ -33,15 +33,19 @@ floquet.
 
 Exact propagation is the reference for both.  evolve_excitation_blocks
 applies the reservoir Hamiltonian by a Chebyshev series at any register
-size.  It builds the Hamiltonian only on the excitation levels the state
-occupies, since H never leaves a level, as per-qubit partner tables
-taken straight from the basis bits, and keeps the operator of its last
-call, so a repeated call on the same Hamiltonian and levels costs the
-series alone.  Its rows are in the qubit-parity order of the split that
-hilbert._chebyshev_operator explains: at delta = 0 the cat (x) |G> lies
-on the even half, and each term of the series is one half-size gather
-and sum.  The dense reservoir_hamiltonian with hilbert.evolve is kept
-as the test oracle for small registers.
+size.  It holds the state as two (qubit pattern x photon number) grids,
+one per qubit parity, the two halves of the split that
+hilbert._chebyshev_operator explains: each exchange term flips one
+qubit and moves one photon, so the partners of a whole photon row lie
+in one photon row of the other grid, and the Hamiltonian is a window
+table per qubit taken straight from the basis bits.  Its spectral bound
+counts only the excitation levels the state occupies, since H never
+leaves a level, and the operator of its last call is kept, so a
+repeated call on the same Hamiltonian and levels costs the series
+alone.  At delta = 0 the cat (x) |G> lies on the even grid, and each
+term of the series is one gather of whole photon rows from one grid and
+one sum over the qubits.  The dense reservoir_hamiltonian with
+hilbert.evolve is kept as the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
 """
@@ -531,62 +535,74 @@ def _excitation_numbers(n_qubits: int, cutoff: int) -> np.ndarray:
     return (np.arange(cutoff)[:, None] + popcount).ravel()
 
 
-def _exchange_terms(spec: ReservoirSpec, cutoff: int, rows: np.ndarray, split: int):
-    """(diag, partner, amp) of H on the basis indices `rows`, as positions in `rows`.
+def _parity_patterns(n_qubits: int) -> np.ndarray:
+    """(2, 2^(N-1)): the qubit patterns b of even and of odd parity, each in increasing order.
 
-    Basis index n 2^N + b holds |n> (x) |b>, qubit 0 the highest bit of
-    b.  If qubit k is excited, |n, b> couples to |n+1, b without k> at
-    lambda_k/2 sqrt(n+1), and delta_k adds to the diagonal.  `rows`
-    must be nonempty and hold whole excitation levels, so that every
-    partner of a row is itself in `rows`, and rows[:split] must be the
-    rows of one qubit parity, in any order.  Each exchange term flips
-    one qubit, so every coupling has one end there, and the (N, split)
-    tables of hilbert._chebyshev_operator list it from that end,
-    straight from the bits: partner[k, i] is the position of the row
-    that qubit k's term couples rows[i] to, a photon up if qubit k is
-    excited and down if not, and amp[k, i] = lambda_k/2 sqrt(n_g), with
-    n_g the photon number of the end with qubit k in g.  Where n_g is 0
-    or cutoff there is no such row: partner is split and amp 0.
+    Patterns 2j and 2j + 1 differ in their last bit only, so one of
+    each pair has each parity, and pattern b sits at position b >> 1
+    of its half's list.
     """
-    n_q = spec.n_qubits
-    width = 2**n_q
-    photons, pattern = np.divmod(rows, width)
-    qubit_bit = (1 << np.arange(n_q - 1, -1, -1))[:, None]  # bit of qubit k in b
-    excited = (pattern & qubit_bit) > 0
-    diag = np.einsum("kn,k->n", excited, np.asarray(spec.detunings))
-    # qubit k excited: its partner has a photon more and qubit k in g, else the reverse
-    up = excited[:, :split]
-    n_g = photons[:split] + up
-    coupled = (n_g > 0) & (n_g < cutoff)
-    position = np.zeros(rows.max() + 1, dtype=np.intp)  # of each basis index in rows
-    position[rows] = np.arange(rows.size)
-    target = rows[:split] + np.where(up, width - qubit_bit, qubit_bit - width)
-    partner = np.where(coupled, position.take(target, mode="clip"), split)
-    amp = np.where(coupled, np.asarray(spec.couplings)[:, None] / 2.0 * np.sqrt(n_g), 0.0)
-    return diag, partner, amp
+    pairs = _excitation_numbers(n_qubits - 1, 1)  # popcount of j
+    return 2 * np.arange(pairs.size) + (pairs + np.array([[0], [1]])) % 2
+
+
+def _exchange_terms(spec: ReservoirSpec, cutoff: int, patterns: np.ndarray):
+    """(diag, start, amp) of H on the grids of hilbert._chebyshev_operator.
+
+    Row (p, n + 1) of half h holds |n> (x) |b>, b = patterns[h, p] from
+    _parity_patterns, for 0 <= n < cutoff; columns 0 and cutoff + 1 are
+    pads, no basis state.  Qubit 0 is the highest bit of b.  If qubit k
+    is excited, |n, b> couples to |n+1, b without k> at lambda_k/2
+    sqrt(n+1), and delta_k adds to the diagonal.  Each exchange term
+    flips one qubit, so qubit k's partners of the whole photon row of b
+    lie in the photon row of b ^ bit_k, in the other half at position
+    (b ^ bit_k) >> 1: one photon up where qubit k is excited in b, one
+    down where it is not.  So straight from the bits,
+
+        start = ((b ^ bit_k) >> 1)(cutoff + 2) + 2 up,
+        amp = lambda_k/2 root[up],
+
+    up = 1 where qubit k is excited, and root[0] = sqrt(n), root[1] =
+    sqrt(n + 1) along the columns, zero on the pads and at n = cutoff - 1
+    going up, where no partner exists (at n = 0 going down, sqrt(n) is
+    0).  The shift of one column and the buffer's leading zero give
+    the 2 up.
+    """
+    width = cutoff + 2
+    shift = np.arange(spec.n_qubits - 1, -1, -1)[:, None]  # of qubit k's bit in b
+    up = (patterns[:, None, :] >> shift) & 1  # (2, N, P)
+    start = ((patterns[:, None, :] ^ (1 << shift)) >> 1) * width + 2 * up
+    root = np.zeros((2, width))
+    root[0, 1:-1] = np.sqrt(np.arange(cutoff))
+    root[1, 1:-2] = root[0, 2:-1]
+    # (N, 2, width) lambda_k/2 root, one gather of whole photon rows
+    scaled = np.asarray(spec.couplings)[:, None, None] / 2.0 * root
+    amp = scaled[np.arange(spec.n_qubits)[:, None], up]
+    diag = np.einsum("hkp,k->hp", up, np.asarray(spec.detunings))
+    return diag, start, amp
 
 
 @functools.lru_cache(maxsize=1)
 def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
-    """(rows, operator): H on the excitation levels flagged in `occupied`.
+    """(patterns, operator): H on the (pattern x photon) grids, bound on the levels in `occupied`.
 
     `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
-    rows with an even number of excited qubits come first and those
-    with an odd number follow, each in index order: the parity split of
-    hilbert._chebyshev_operator, at `split`, whose tables
-    _exchange_terms lists from the even rows.
-    The operator of the last (spec, cutoff, occupied) is kept, about
-    1.1 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
-    and one set of levels skips the build.
+    operator's halves are the patterns of even and of odd qubit parity
+    (_parity_patterns), each a (2^(N-1), cutoff + 2) grid of pattern by
+    photon number (_exchange_terms), and it counts the rows of the
+    occupied levels only, row (p, n + 1) of pattern b holding
+    n + popcount(b) excitations.  The operator of the last (spec,
+    cutoff, occupied) is kept, about 0.7 MiB at N = 8, cutoff 40, so a
+    repeated call on one Hamiltonian and one set of levels skips the
+    build.
     """
     levels = np.frombuffer(occupied, dtype=bool)
-    excitation = _excitation_numbers(spec.n_qubits, cutoff)
-    rows = np.flatnonzero(levels[excitation])
-    # index n 2^N + b holds m = n + popcount(b) excitations
-    odd = (excitation[rows] - (rows >> spec.n_qubits)) % 2 == 1
-    rows = np.concatenate([rows[~odd], rows[odd]])
-    split = rows.size - np.count_nonzero(odd)
-    return rows, _chebyshev_operator(*_exchange_terms(spec, cutoff, rows, split))
+    patterns = _parity_patterns(spec.n_qubits)
+    diag, start, amp = _exchange_terms(spec, cutoff, patterns)
+    counted = np.zeros(patterns.shape + (cutoff + 2,), dtype=bool)
+    popcount = _excitation_numbers(spec.n_qubits, 1)[patterns]
+    counted[..., 1:-1] = levels[popcount[..., None] + np.arange(cutoff)]
+    return patterns, _chebyshev_operator(diag, start, amp, counted)
 
 
 def evolve_excitation_blocks(
@@ -597,20 +613,22 @@ def evolve_excitation_blocks(
     H never couples two total excitation numbers m = a^dag a + sum_k
     |e><e|_k, so a level where psi is zero stays exactly zero, and the
     population of each level is conserved without splitting the state
-    into blocks.  H is built by _exchange_terms on the rows of the
-    levels psi occupies only, as one partner table per qubit (at most
-    N couplings per row); it is real, and hilbert._chebyshev_propagate
-    applies it in about r|t| terms, r the half-width of the Gershgorin
-    bound on the spectrum of those rows.  A state in low levels thus
-    gets a short series, and a zero state returns zeros.  Each term is
-    one gather and one weighted sum per nonzero part (real, imaginary)
-    of the state: at delta = 0 on one parity half per half the part
-    occupies (the cat (x) |G> occupies one), and otherwise on all its
-    rows (see hilbert._chebyshev_operator).  The operator of the last
-    call is kept, so a call with the same spec, cutoff and occupied
-    levels skips the build.  t may be negative; it must be finite, and
-    so must every amplitude of psi: a non-finite one is an error that
-    names its index, raised before any build.
+    into blocks.  psi is copied onto the (pattern x photon) grids of
+    _level_operator, one per qubit parity, where _exchange_terms builds
+    H as one window table per qubit (at most N couplings per row); it is
+    real, and hilbert._chebyshev_propagate applies it in about r|t|
+    terms, r the half-width of the Gershgorin bound on the spectrum of
+    the rows of the levels psi occupies.  The rows of the other levels
+    hold zeros and keep them.  A state in low levels thus gets a short
+    series, and a zero state returns zeros.  Each term is one gather of
+    whole photon rows and one weighted sum per nonzero part (real,
+    imaginary) of the state: at delta = 0 on one grid per grid the part
+    occupies (the cat (x) |G> occupies one), and otherwise on both (see
+    hilbert._chebyshev_operator).  The operator of the last call is
+    kept, so a call with the same spec, cutoff and occupied levels skips
+    the build.  t may be negative; it must be finite, and so must every
+    amplitude of psi: a non-finite one is an error that names its
+    index, raised before any build.
     """
     _require_finite(t)
     layout = _layout(spec, cutoff)
@@ -625,8 +643,11 @@ def evolve_excitation_blocks(
     ) > 0
     out = np.zeros(layout.dim, dtype=complex)
     if occupied.any():
-        rows, operator = _level_operator(spec, cutoff, occupied.tobytes())
-        out[rows] = _chebyshev_propagate(operator, t, psi.amps[rows])
+        patterns, operator = _level_operator(spec, cutoff, occupied.tobytes())
+        grid = np.zeros(patterns.shape + (cutoff + 2,), dtype=complex)
+        grid[..., 1:-1] = np.moveaxis(psi.amps.reshape(cutoff, -1)[:, patterns], 0, -1)
+        grid = _chebyshev_propagate(operator, t, grid)
+        out.reshape(cutoff, -1)[:, patterns] = np.moveaxis(grid[..., 1:-1], -1, 0)
     return StateVector(layout, out)
 
 

@@ -11,7 +11,7 @@ displacement return plain complex arrays.
 
 The closed forms the other modules share have their one copy here:
 the truncated coherent amplitudes, the Bessel orders, the Chebyshev
-propagator on partner tables, and the two-level exchange step of the
+propagator on window tables, and the two-level exchange step of the
 Jaynes-Cummings manifold {|n,g>, |n-1,e>}.  _coherent_amplitudes
 gives the coherent amplitudes in one log-space pass as (u, s): u
 scaled to a largest magnitude of 1, which renormalizes at any |alpha|,
@@ -32,9 +32,11 @@ addition.
 
 The Chebyshev propagator takes a real H that is bipartite off its
 diagonal, as the reservoir Hamiltonian is between the rows of even and
-of odd qubit parity, with its couplings in per-slot partner tables;
-_chebyshev_operator explains how it uses that split.  Its terms are
-numpy gathers and sums, so no module of the package imports scipy.
+of odd qubit parity, with each half a grid of rows whose couplings come
+in window tables: the partners of a whole grid row lie in one window
+of the other half.  _chebyshev_operator explains how it uses that
+split.  Its terms are numpy gathers of whole windows and sums, so no
+module of the package imports scipy.
 
 All frequencies are angular (rad/s) and all times are seconds.
 """
@@ -46,6 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SpaceLayout",
@@ -257,7 +260,7 @@ def _propagate(w: np.ndarray, v: np.ndarray, t: float, x: np.ndarray | None = No
 
     `x` may be a vector or a matrix.  Every dense unitary step in the
     package goes through here; the reservoir Hamiltonian, kept as
-    partner tables, goes through _chebyshev_propagate.
+    window tables, goes through _chebyshev_propagate.
     """
     vp = v * np.exp(-1j * w * t)
     return vp @ v.conj().T if x is None else vp @ (v.conj().T @ x)
@@ -354,97 +357,92 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     return j[: n_max + 1]
 
 
-def _chebyshev_operator(diag: np.ndarray, partner: np.ndarray, amp: np.ndarray):
+def _chebyshev_operator(diag: np.ndarray, start: np.ndarray, amp: np.ndarray, counted: np.ndarray):
     """(c, r, starts): the operator that _chebyshev_propagate applies.
 
-    H is real and symmetric.  Its diagonal is `diag`, and its couplings
-    come in (slots, split) partner tables, listed from the rows below
-    split = partner.shape[1]: amp[k, i] = H[i, partner[k, i]] =
-    H[partner[k, i], i] is the coupling of row i in slot k, and amp 0
-    means none (dynamics._exchange_terms then points partner at split).
-    A slot must be a matching: no row is the partner of two rows in
-    one slot.  A complex `diag` or `amp` is an error.  [c - r, c + r]
-    is the Gershgorin interval of its spectrum, r the largest row sum
-    of |amp| plus |diag - c|, and H~ = (H - c)/r.  The values stored are
-    those of 2H~, the recurrence's factor 2 included (doubling is exact).
-    Build it once and apply it at any number of times.
+    H is real and symmetric, and bipartite off its diagonal: its rows
+    fall in two halves, and each coupling joins a row of one half to a
+    row of the other, as the reservoir Hamiltonian joins the rows with
+    an even and an odd number of excited qubits (each exchange term
+    flips one qubit).  Each half is a (P, W) grid of rows, held in a
+    flat buffer as one zero, the grid and one zero.  The arguments give
+    the two halves on a leading axis of length 2:
 
-    The parity split.  The rows below `split` are the even half and the
-    others the odd half, and each coupling must join one row of each (a
-    partner below split is an error): H is bipartite off its diagonal,
-    as the reservoir Hamiltonian is between the rows with an even and an
-    odd number of excited qubits (each exchange term flips one qubit).
-    In this order
+    - diag (2, P): the diagonal, one value per grid row p, the same in
+      its W columns;
+    - start (2, S, P) and amp (2, S, P, W): S slots of couplings.  In
+      slot s, row (p, w) of half h couples at amp[h, s, p, w] to
+      element start[h, s, p] + w of the other half's buffer, so the
+      partners of a whole grid row are one window of W elements; amp 0
+      means none.  Each coupling is listed from both of its ends, with
+      one amp, so that H is symmetric;
+    - counted (2, P, W): the rows the state may occupy.  H must take
+      none of them to a row outside, and the state must be zero there,
+      so those rows stay zero whatever their weights.
 
-        2H~ = [[D_e, B], [B^T, D_o]].
+    A complex `diag` or `amp` is an error.  [c - r, c + r] is the
+    Gershgorin interval of H on the counted rows, r the largest sum of
+    |amp| over the slots plus |diag - c|, and H~ = (H - c)/r.  The
+    values stored are those of 2H~, the recurrence's factor 2 included
+    (doubling is exact), scaled in place: `amp` becomes the weights, so
+    the caller passes an array it no longer needs.  If the counted rows
+    carry no coupling and one diagonal value, H is c on the state: r is
+    0 and there is no table.  Build it once and apply it at any number
+    of times.
 
-    B is the even table: the odd-half positions of the partners,
-    counted from split, with the weights 2 amp / r.  B^T is the odd
-    table, its per-slot inverse, made by one scatter, so 2H~ is
-    symmetric by construction; there a row with no partner points at
-    position 0 with weight 0.  A half with no rows leaves the other with
-    no coupling, so a resonant H has r = 0 there and its series stops
-    at T_1, before any table gathers from the empty half.  A table is
-    (partner, weight, diagonal), each a C-contiguous array (a strided
-    one gathers far slower), and its product with v is
+    A table is (start, weight, diagonal), its weight C-contiguous, and
+    its product with v, a vector in buffer form, is
 
-        np.einsum("kn,kn->n", np.take(v, partner), weight) + diagonal v,
+        np.einsum("...kbn,...kbn->...bn", sliding_window_view(v, W)[start], weight)
+            + diagonal v,
 
-    a gather and a weighted sum over the slots with no BLAS call, so no
-    thread count moves the digits.
+    a gather of whole windows and a weighted sum over the slots, with
+    no BLAS call, so no thread count moves the digits.
 
     With no diagonal stored (a resonant H, diag all equal to c), 2H~
     takes each half to the other, so a vector v on the even half has
     T_k(H~) v on the even half for even k and on the odd half for odd k,
-    and the recurrence runs on half-length vectors with B (even k) and
-    B^T (odd k), neither with a diagonal (None); from the odd half it
-    runs with the two swapped.  A start is (its rows, the other half's
-    rows, (table for even k, table for odd k)):
+    and the recurrence runs on one half's grid with the even half's
+    table B = (start[0], 2 amp[0] / r, None) for even k and the odd
+    half's B^T for odd k; from the odd half it runs with the two
+    swapped.  A start is (its half, the other half, (table for even k,
+    table for odd k)):
 
-        (even rows, odd rows, (B, B^T)) and (odd rows, even rows, (B^T, B)).
+        (0, 1, (B, B^T)) and (1, 0, (B^T, B)).
 
     A stored diagonal mixes the halves within two terms, so its one
-    start is all rows, with one table over all of them for both k: the
-    two halves' tables side by side, partners as positions in the whole
-    order, and the diagonal 2(diag - c)/r.
+    start is both halves, with one table over both for every k: the
+    buffer holds the even grid and then the odd one, so the even half's
+    windows move one grid (P W) along; the weights are 2 amp / r with
+    the halves on their leading axis, and the diagonal is 2(diag - c)/r
+    with one trailing axis for the columns.
     """
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
-    dim, split = diag.size, partner.shape[1]
-    coupled = amp != 0
-    if np.any(coupled & (partner < split)):
-        raise ValueError("a coupling joins two rows of one parity: H is not bipartite")
-    slots, n_odd = amp.shape[0], dim - split
-    partner = partner - split
-    # the odd table by one scatter: each coupling lands on its odd end, and
-    # an entry with no partner in a spare column, cut off after
-    at = np.where(coupled, partner, n_odd) + (n_odd + 1) * np.arange(slots)[:, None]
-    odd_partner = np.zeros((slots, n_odd + 1), dtype=np.intp)
-    odd_amp = np.zeros(odd_partner.shape)
-    odd_partner.ravel()[at] = np.arange(split)
-    odd_amp.ravel()[at] = amp
-    odd_partner, odd_amp = (np.ascontiguousarray(a[:, :n_odd]) for a in (odd_partner, odd_amp))
-    radius = np.concatenate([np.abs(amp).sum(axis=0), np.abs(odd_amp).sum(axis=0)])
-    lo, hi = np.min(diag - radius), np.max(diag + radius)
-    # a diagonal H with one value has r = 0; any r > 0 then bounds it
-    c, r = (hi + lo) / 2.0, max((hi - lo) / 2.0, np.finfo(float).tiny)
-    even_weight, odd_weight = amp / r * 2.0, odd_amp / r * 2.0
+    radius = np.abs(amp).sum(axis=1)
+    lo = np.min((diag[..., None] - radius)[counted])
+    hi = np.max((diag[..., None] + radius)[counted])
+    c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
+    if r == 0:
+        return c, r, ()
+    # the weights in place: a second array of amp's size, fresh from the
+    # allocator, costs more than the rest of the build
+    weight = amp
+    weight /= r
+    weight *= 2.0
     if np.any(diag != c):
-        rows = slice(0, dim)
-        whole = (
-            np.concatenate([partner + split, odd_partner], axis=1),
-            np.concatenate([even_weight, odd_weight], axis=1),
-            (diag - c) / r * 2.0,
-        )
-        return c, r, ((rows, rows, (whole, whole)),)
-    even_table, odd_table = (partner, even_weight, None), (odd_partner, odd_weight, None)
-    even, odd = slice(0, split), slice(split, dim)
-    return c, r, ((even, odd, (even_table, odd_table)), (odd, even, (odd_table, even_table)))
+        shift = np.array([weight[0, 0].size, 0])[:, None, None]
+        whole = (start + shift, weight, ((diag - c) / r * 2.0)[..., None])
+        both = slice(None)
+        return c, r, ((both, both, (whole, whole)),)
+    even_table, odd_table = (start[0], weight[0], None), (start[1], weight[1], None)
+    return c, r, ((0, 1, (even_table, odd_table)), (1, 0, (odd_table, even_table)))
 
 
 def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     """exp(-iHt) x for the operator of _chebyshev_operator, by a Chebyshev series.
 
+    x is given on the operator's two grids, shape (2, P, W).
     exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  T_k(H~) is
     real, and (-i)^k is real for even k and imaginary for odd k, so the
@@ -457,10 +455,13 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     (_chebyshev_sums).  The series stops at the last term whose
     coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster than
     exponentially once k > |rt|, so the cost is about r|t| terms per
-    nonzero piece.  t may be negative.  x must be finite: a row with no
-    partner reads position 0 at weight 0, and 0 * inf is NaN.
+    nonzero piece.  At r = 0, H is c on x, and the result is
+    exp(-ict) x.  t may be negative.  x must be finite: a missing
+    partner is read at weight 0, and 0 * inf is NaN.
     """
     c, r, starts = operator
+    if r == 0:
+        return np.exp(-1j * c * t) * x
     z = r * t
     # the _CHEBYSHEV_TOL cut below always falls inside _bessel_cut
     k = np.arange(_bessel_cut(0, z))
@@ -469,7 +470,7 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     coef = np.where(k == 0, 1.0, 2.0) * sign * _bessel_orders(k.size - 1, z)
     # at least T_0 and T_1, so the recurrence below always has its start
     coef = coef[: max(np.flatnonzero(np.abs(coef) > _CHEBYSHEV_TOL)[-1] + 1, 2)]
-    out = np.zeros(x.size, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     for part, unit in ((x.real, 1.0), (x.imag, 1j)):
         for here, there, tables in starts:
             v = part[here]
@@ -485,26 +486,33 @@ def _chebyshev_sums(tables, coef, v):
 
     T_1 = (1/2) P_1 v and T_k = P_(k % 2) T_(k-1) - T_(k-2), with P_j
     the product of 2H~ by tables[j], the (even k, odd k) pair of one
-    start.  Each product gathers into one scratch array per table,
-    allocated once.
+    start.  The recurrence keeps its three latest T_k in three buffers,
+    each v's grid between two zeros, whose window views are made once:
+    a product gathers whole windows of one buffer and sums them over
+    the slots into the grid of the next.  A zero weight on every pad
+    and missing partner keeps each buffer's pads and end zeros at 0.
     """
-    scratch = [np.empty(partner.shape) for partner, _, _ in tables]
+    width = v.shape[-1]
+    buffers = np.zeros((3, v.size + 2))
+    windows = [sliding_window_view(buffer, width) for buffer in buffers]
+    grids = buffers[:, 1:-1].reshape((3,) + v.shape)
 
-    def product(j, x):
-        partner, weight, diagonal = tables[j]
-        np.take(x, partner, out=scratch[j], mode="clip")
-        y = np.einsum("kn,kn->n", scratch[j], weight)
+    def product(j, src, dst):
+        start, weight, diagonal = tables[j]
+        np.einsum("...kbn,...kbn->...bn", windows[src][start], weight, out=grids[dst])
         if diagonal is not None:
-            y += diagonal * x
-        return y
+            grids[dst] += diagonal * grids[src]
 
-    prev, cur = v, 0.5 * product(1, v)
-    sums = [coef[0] * prev, coef[1] * cur]
+    grids[0] = v
+    product(1, 0, 1)
+    grids[1] *= 0.5
+    sums = [coef[0] * grids[0], coef[1] * grids[1]]
+    prev, cur, nxt = 0, 1, 2
     for k in range(2, coef.size):
-        nxt = product(k % 2, cur)
-        nxt -= prev
-        prev, cur = cur, nxt
-        sums[k % 2] += coef[k] * cur
+        product(k % 2, cur, nxt)
+        grids[nxt] -= grids[prev]
+        prev, cur, nxt = cur, nxt, prev
+        sums[k % 2] += coef[k] * grids[cur]
     return sums
 
 

@@ -1132,6 +1132,33 @@ def test_csv_input_errors_keep_their_messages(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("key", ["tau_ns", "pe"])
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({0: "x"}, "bad value for {key}: 'x'"),
+        ({5: "x"}, "bad value for {key}: 'x'"),
+        ({2: "nan"}, "non-finite value for {key}: 'nan'"),
+        ({5: "inf"}, "non-finite value for {key}: 'inf'"),
+        ({0: "1e400"}, "non-finite value for {key}: '1e400'"),
+        ({5: None}, "bad value for {key}: None"),
+        ({1: "-inf", 3: "y"}, "non-finite value for {key}: '-inf'"),
+    ],
+)
+def test_fit_rabi_column_names_its_first_bad_cell(tmp_path, capsys, key, cells, message):
+    # each column is parsed in one float pass; a bad cell falls back to
+    # the cell-by-cell parse, which names the first bad cell of the column
+    # in row order.  The column is second in the header, so that a short
+    # row (cell None) reads None there
+    other = "pe" if key == "tau_ns" else "tau_ns"
+    rows = [f"0.{k},{k}" for k in range(6)]
+    for k, cell in cells.items():
+        rows[k] = f"0.{k}" if cell is None else f"0.{k},{cell}"
+    rc, out = _fit_rabi(tmp_path, f"{other},{key}\n" + "\n".join(rows) + "\n", "bad")
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bad.csv'}: {message.format(key=key)}\n"
+
+
 @pytest.mark.parametrize(
     "row, shown",
     [

@@ -357,7 +357,7 @@ def test_engine_matches_block_eigh_oracle_n8():
     t = 137.3 * NS
     out = evolve_excitation_blocks(spec, psi0, t, 20)
     assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, psi0, t))) < 1e-12
-    # one full middle level at 1 us: the series runs on its 256 rows only
+    # one full middle level at 1 us: the series is bound on its 256 rows only
     single = StateVector(psi0.layout, np.where(_excitation(psi0.layout) == 10, psi0.amps, 0.0))
     out = evolve_excitation_blocks(spec, single, 1e-6, 20)
     assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, single, 1e-6))) < 1e-12
@@ -376,58 +376,94 @@ def test_resonant_engine_matches_block_eigh_oracle_n8():
         assert np.max(np.abs(out.amps - _block_eigh_oracle(spec, psi0, t))) < 1e-12
 
 
+def _parity(patterns: np.ndarray) -> np.ndarray:
+    return np.array([bin(b).count("1") % 2 for b in patterns.ravel()]).reshape(patterns.shape)
+
+
+def _grid_couplings(start: np.ndarray, weight: np.ndarray):
+    """(row, col, value) of every nonzero weight of a table over both grids.
+
+    start (2, S, P) counts in the buffer of both grids, the even one
+    first, so element start + w of it is grid element start + w - 1 of
+    the two grids flattened; rows and columns are indices there.
+    """
+    half, slot, p, w = np.nonzero(weight)
+    row = np.ravel_multi_index((half, p, w), weight.shape[:1] + weight.shape[2:])
+    return row, start[half, slot, p] + w - 1, weight[half, slot, p, w]
+
+
+def _basis_of_grids(patterns: np.ndarray, cutoff: int, n_qubits: int) -> np.ndarray:
+    """Basis index n 2^N + b of each grid column n + 1 of each pattern b, -1 on the pads."""
+    index = np.full(patterns.shape + (cutoff + 2,), -1)
+    index[..., 1:-1] = np.arange(cutoff) * 2**n_qubits + patterns[..., None]
+    return index.ravel()
+
+
 def test_resonant_operator_stores_no_diagonal_and_half_the_couplings():
-    # N = 8, cutoff 40, the levels of the cat: 72 704 couplings, each once in
-    # the even table B and once in the odd table B^T, with no diagonal
+    # N = 8, cutoff 40, the levels of the cat: 36 352 couplings, each once
+    # in the even table B and once in the odd table B^T, with no diagonal
     spec = table_spec(8)
     cutoff = 40
     levels = np.arange(cutoff + 8) < cutoff
-    rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    patterns, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
     (even, odd, (b, b_t)), (odd_start, even_other, odd_tables) = starts
-    (partner, weight, diagonal), (partner_t, weight_t, diagonal_t) = b, b_t
-    split, dim = partner.shape[1], rows.size
-    assert c == 0.0 and diagonal is None and diagonal_t is None
-    assert (even, odd) == (slice(0, split), slice(split, dim))
-    assert (odd_start, even_other) == (odd, even)
+    assert c == 0.0 and b[2] is None and b_t[2] is None
+    assert (even, odd, odd_start, even_other) == (0, 1, 1, 0)
     assert odd_tables[0] is b_t and odd_tables[1] is b
-    assert partner.shape == weight.shape == (8, split)
-    assert partner_t.shape == weight_t.shape == (8, dim - split)
-    assert all(a.flags.c_contiguous for a in (partner, weight, partner_t, weight_t))
-    assert np.count_nonzero(weight) == np.count_nonzero(weight_t) == 36_352
-    # partners count from the other half's first row; a missing one is 0 at weight 0
-    assert 0 <= partner.min() and partner.max() < dim - split
-    assert 0 <= partner_t.min() and partner_t.max() < split
-    assert np.all(partner[weight == 0] == 0) and np.all(partner_t[weight_t == 0] == 0)
-    # the odd table is the per-slot inverse of the even one
-    slot, row = np.nonzero(weight)
-    assert np.array_equal(partner_t[slot, partner[slot, row]], row)
-    assert np.array_equal(weight_t[slot, partner[slot, row]], weight[slot, row])
-    # the halves are the rows of even and of odd qubit parity, each in order
-    parity = np.array([bin(k).count("1") % 2 for k in range(2**8)])[rows % 2**8]
-    assert np.all(parity[:split] == 0) and np.all(parity[split:] == 1)
-    assert np.all(np.diff(rows[:split]) > 0) and np.all(np.diff(rows[split:]) > 0)
+    start, weight = np.stack([b[0], b_t[0]]), np.stack([b[1], b_t[1]])
+    assert start.shape == (2, 8, 128) and weight.shape == (2, 8, 128, cutoff + 2)
+    assert all(a.flags.c_contiguous for table in (b, b_t) for a in table[:2])
+    # the halves are the patterns of even and of odd qubit parity, each in order
+    assert np.array_equal(_parity(patterns), [[0] * 128, [1] * 128])
+    assert np.all(np.diff(patterns, axis=1) > 0)
+    # the pads carry no weight, nor qubit k's missing partner a photon up
+    # from n = cutoff - 1; every window lies in its buffer
+    assert not weight[..., [0, -1]].any()
+    excited = (patterns[:, None, :] >> np.arange(7, -1, -1)[:, None]) & 1
+    assert not weight[..., cutoff][excited == 1].any()
+    assert 0 <= start.min() and start.max() + cutoff + 2 <= 128 * (cutoff + 2) + 2
+    # on the cat's rows (n + popcount(b) < cutoff) each half lists 36 352
+    popcount = np.array([bin(p).count("1") for p in patterns.ravel()]).reshape(2, 128)
+    n = np.arange(-1, cutoff + 1)
+    occupied = (n >= 0) & (n + popcount[..., None] < cutoff)
+    assert [np.count_nonzero(weight[h][:, occupied[h]]) for h in (0, 1)] == [36_352, 36_352]
+    # 2H~ is exactly symmetric: each coupling lands on its other end with one
+    # weight (in the buffer of both grids, the even half's windows move one grid on)
+    shift = np.array([128 * (cutoff + 2), 0])[:, None, None]
+    row, col, value = _grid_couplings(start + shift, weight)
+    forward, backward = np.lexsort((col, row)), np.lexsort((row, col))
+    assert np.array_equal(row[forward], col[backward])
+    assert np.array_equal(col[forward], row[backward])
+    assert np.array_equal(value[forward], value[backward])
 
 
 def test_detuned_operator_keeps_each_halfs_diagonal():
     # a detuning on one qubit gives H a diagonal, which mixes the halves:
-    # one start over all rows with one table over all of them, whose
-    # diagonal has entries in the rows of both halves, and which is 2H~ of
-    # the dense Hamiltonian on those rows
+    # one start over both grids with one table over both, whose diagonal
+    # has entries in both halves, and which is 2H~ of the dense
+    # Hamiltonian on the basis rows
     spec = ReservoirSpec(table_spec(3).couplings, (0.0, 2.0 * MHZ, 0.0), N_MEAN)
     cutoff = 6
     levels = np.ones(cutoff + 3, dtype=bool)
-    rows, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    patterns, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
     ((here, there, (whole, same)),) = starts
-    partner, weight, diagonal = whole
-    dim = rows.size
-    assert here == there == slice(0, dim)
-    assert same is whole and partner.shape == weight.shape == (3, dim)
-    split = np.count_nonzero(np.array([bin(k).count("1") % 2 for k in range(8)])[rows % 8] == 0)
-    assert np.any(diagonal[:split] != 0) and np.any(diagonal[split:] != 0)
-    two_h = np.diag(diagonal)
-    np.add.at(two_h, (np.broadcast_to(np.arange(dim), partner.shape), partner), weight)
-    h = reservoir_hamiltonian(spec, cutoff).mat.real[np.ix_(rows, rows)]
-    assert np.max(np.abs(two_h - 2.0 * (h - c * np.eye(dim)) / r)) < 1e-14
+    start, weight, diagonal = whole
+    assert here == there == slice(None) and same is whole
+    assert start.shape == (2, 3, 4) and weight.shape == (2, 3, 4, cutoff + 2)
+    assert diagonal.shape == (2, 4, 1)
+    assert weight.flags.c_contiguous and not weight[..., [0, -1]].any()
+    assert np.any(diagonal[0] != 0) and np.any(diagonal[1] != 0)
+    row, col, value = _grid_couplings(start, weight)
+    two_h = np.diag(np.broadcast_to(diagonal, (2, 4, cutoff + 2)).ravel())
+    np.add.at(two_h, (row, col), value)
+    assert np.array_equal(two_h, two_h.T)
+    basis = _basis_of_grids(patterns, cutoff, 3)
+    body = basis >= 0
+    # no pad row or column carries a coupling
+    assert not two_h[~body][:, body].any() and not two_h[body][:, ~body].any()
+    h = reservoir_hamiltonian(spec, cutoff).mat.real[np.ix_(basis[body], basis[body])]
+    dim = h.shape[0]
+    assert np.max(np.abs(two_h[np.ix_(body, body)] - 2.0 * (h - c * np.eye(dim)) / r)) < 1e-14
     # [c - r, c + r] is the Gershgorin interval of h
     radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
     lo, hi = np.min(np.diag(h) - radius), np.max(np.diag(h) + radius)
@@ -439,34 +475,79 @@ def test_detuned_operator_keeps_each_halfs_diagonal():
     assert np.max(np.abs(out.amps - dense.amps)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("detuned", [False, True])
+def test_gershgorin_bound_counts_the_occupied_rows_only(n, detuned):
+    # r and c against the Gershgorin interval of the dense Hamiltonian on
+    # the rows of random sets of levels, and a state on the top occupied
+    # level against dense evolution: a counted phantom partner a photon
+    # up from n = cutoff - 1 would widen r, and a pad that picked up a
+    # value would show in the state
+    detunings = (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n] if detuned else (0.0,) * n
+    spec = ReservoirSpec(table_spec(n).couplings, detunings, N_MEAN)
+    cutoff = 5
+    layout = SpaceLayout((cutoff,) + (2,) * n)
+    excitation = _excitation(layout)
+    h = reservoir_hamiltonian(spec, cutoff)
+    psi = _random_state(layout, n)
+    rng = np.random.default_rng(10 * n + detuned)
+    subsets = [rng.random(cutoff + n) < 0.4 for _ in range(6)]
+    subsets += [np.arange(cutoff + n) == cutoff + n - 1, np.arange(cutoff + n) >= cutoff - 1]
+    for levels in subsets:
+        if not levels.any():
+            continue
+        c, r, _ = _level_operator(spec, cutoff, levels.tobytes())[1]
+        rows = np.flatnonzero(levels[excitation])
+        block = h.mat.real[np.ix_(rows, rows)]
+        radius = np.abs(block).sum(axis=1) - np.abs(np.diag(block))
+        lo, hi = np.min(np.diag(block) - radius), np.max(np.diag(block) + radius)
+        scale = max(abs(lo), abs(hi))
+        assert abs(c - (hi + lo) / 2.0) <= 1e-14 * scale
+        assert abs(r - (hi - lo) / 2.0) <= 1e-14 * scale
+        top = StateVector(layout, np.where(excitation == np.flatnonzero(levels)[-1], psi.amps, 0.0))
+        for t in (23 * NS, 140 * NS):
+            out = evolve_excitation_blocks(spec, top, t, cutoff)
+            assert np.max(np.abs(out.amps - evolve(h, top, t).amps)) < 1e-12
+
+
+def _path_operator(diag: np.ndarray):
+    """The path 0-2-1-3 of test_chebyshev_series_on_one_half as window tables.
+
+    Rows 0 and 1 are grid rows 0 and 1 of the even half, rows 2 and 3
+    those of the odd half, each one column between two pads.  Slot 0
+    joins row p of each half to row p of the other, and slot 1 joins
+    even row 1 to odd row 0 (amp 0 elsewhere).  Window start 3p + 1 is
+    row p of the other half's buffer.
+    """
+    start = np.array([[[1, 4], [1, 1]], [[1, 4], [4, 1]]])
+    amp = np.zeros((2, 2, 2, 3))
+    amp[:, 0, :, 1] = [0.7, 0.4]
+    amp[0, 1, 1, 1] = amp[1, 1, 0, 1] = -1.3
+    counted = np.zeros((2, 2, 3), dtype=bool)
+    counted[..., 1] = True
+    return _chebyshev_operator(diag, start, amp, counted)
+
+
 @pytest.mark.parametrize("half", ["even", "odd"])
 def test_chebyshev_series_on_one_half(half):
     # a path of four rows, 0-2-1-3, with rows 0 and 1 the even half, in two
-    # slots listed from the even rows (slot 1 has no partner for row 0): a
-    # vector on one half runs on alternating halves, both starts agree with
-    # the dense exponential, and with a diagonal both halves fill in
-    partner = np.array([[2, 3], [2, 2]])
-    amp = np.array([[0.7, 0.4], [0.0, -1.3]])
+    # slots: a vector on one half runs on alternating halves, both starts
+    # agree with the dense exponential, and with a diagonal both halves
+    # fill in, and the pads stay 0
     x = np.zeros(4)
     x[[0, 1] if half == "even" else [2, 3]] = [0.6, -0.8]
+    grid = np.zeros((2, 2, 3))
+    grid[..., 1] = x.reshape(2, 2)
     for diag in (np.zeros(4), np.array([0.0, 0.3, -0.2, 0.0])):
         h = np.diag(diag)
         h[[0, 1, 1], [2, 3, 2]] = h[[2, 3, 2], [0, 1, 1]] = [0.7, 0.4, -1.3]
         w, v = np.linalg.eigh(h)
+        operator = _path_operator(diag.reshape(2, 2))
         for t in (0.9, -4.2, 30.0):
             want = v @ (np.exp(-1j * w * t) * (v.T @ x))
-            got = _chebyshev_propagate(_chebyshev_operator(diag, partner, amp), t, x)
-            assert np.max(np.abs(got - want)) < 1e-13
-
-
-def test_chebyshev_rejects_a_coupling_within_one_parity():
-    # rows 0 and 1 are the even half, rows 2 and 3 the odd one: a partner
-    # below 2 joins two even rows, or an even row to itself
-    for partner in ([[1, 2]], [[2, 0]], [[0, 3]]):
-        with pytest.raises(ValueError, match="two rows of one parity"):
-            _chebyshev_operator(np.zeros(4), np.array(partner), np.array([[0.5, 0.5]]))
-    # an entry at amp 0 is no coupling, wherever it points
-    _chebyshev_operator(np.zeros(4), np.array([[1, 2]]), np.array([[0.0, 0.5]]))
+            got = _chebyshev_propagate(operator, t, grid)
+            assert np.max(np.abs(got[..., 1].ravel() - want)) < 1e-13
+            assert not got[..., [0, 2]].any()
 
 
 def test_engine_long_time_matches_dense():
@@ -512,10 +593,11 @@ def _excitation(layout: SpaceLayout) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_engine_state_parts_match_dense(part, n):
     # a purely real or imaginary state skips one of the two real series; a
-    # state in one excitation level runs on that level's rows only, also a
-    # level m >= cutoff, and every other level stays exactly zero; level 0
-    # is the one row |0, G>, so the odd half is empty, and at N = 1 level
-    # cutoff is the one row |cutoff - 1, e>, so the even half is empty
+    # state in one excitation level has its series bound on that level's
+    # rows only, also a level m >= cutoff, and every other level stays
+    # exactly zero; level 0 is the one row |0, G> and at N = 1 level cutoff
+    # the one row |cutoff - 1, e>: neither has a coupling, so r = 0 and
+    # the state only takes the phase of its diagonal
     spec = ReservoirSpec(
         table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
     )
@@ -573,15 +655,16 @@ def test_engine_kept_operator_follows_spec_and_levels():
 
 @pytest.mark.parametrize("arg", ["diag", "amp"])
 def test_chebyshev_rejects_complex_hamiltonian(arg):
-    args = {"diag": np.zeros(3), "amp": np.array([[0.5]])}
+    args = {"diag": np.zeros((2, 1)), "amp": np.full((2, 1, 1, 3), 0.5)}
     args[arg] = args[arg].astype(complex)
+    counted = np.ones((2, 1, 3), dtype=bool)
     with pytest.raises(ValueError, match="real symmetric"):
-        _chebyshev_operator(args["diag"], np.array([[1]]), args["amp"])
+        _chebyshev_operator(args["diag"], np.ones((2, 1, 1), dtype=int), args["amp"], counted)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.3, -math.inf)])
 def test_engine_rejects_non_finite_state(bad):
-    # a row with no partner reads position 0 at weight 0, so one inf would
+    # a pad or a missing partner is read at weight 0, so one inf would
     # spread NaN through 0 * inf: the state is refused before any build
     spec = table_spec(2)
     cutoff = 12
