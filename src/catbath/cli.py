@@ -42,7 +42,9 @@ the field of the branch model.  Both photon-resolved
 kernels evolve the Fock amplitudes of the ideal cat N+(|0> + |alpha>),
 and |0, G> is their level 0.  ``decohere`` and ``wigner --time`` build
 the reservoir in _reservoir_from_config, which turns an alpha whose
-Rabi rate overflows (dynamics.ReservoirSpec) into exit code 1.
+Rabi rate overflows (dynamics.ReservoirSpec), or a qubit whose
+modulation index |eps/nu| is past the Bessel sweep
+(floquet.FloquetParams), into exit code 1.
 ``scripts/cat_synthesis_demo.py`` writes its map by calling main with
 ``wigner``, so the demo's CSV, warnings log and checks are that
 command's.
@@ -213,10 +215,12 @@ def _float_column(texts: list, key: str, path: str) -> np.ndarray:
 
 
 def _reservoir_from_config(cfg, n_qubits: int) -> dynamics.ReservoirSpec:
-    couplings = []
-    detunings = []
-    for q in cfg.qubits[:n_qubits]:
-        p = q.floquet_params()
+    couplings, detunings = [], []
+    for i, q in enumerate(cfg.qubits[:n_qubits]):
+        try:
+            p = q.floquet_params()
+        except ValueError as exc:  # a modulation index past the Bessel sweep
+            raise CliError(f"qubits[{i}]: {exc}") from exc
         couplings.append(2.0 * abs(floquet.effective_coupling(p)))
         detunings.append(p.delta)
     try:
@@ -488,11 +492,12 @@ _COMMANDS = {
     )),
     "decohere": (
         _cmd_decohere,
-        "reservoir decoherence trace over the whole time grid, every column "
-        "from one model, the photon-resolved branch model: entropy_bits of qubit 0, "
-        "the cross-branch coh_factor_abs, and distinguishability = "
-        "sqrt(1 - coh_factor_abs^2), the upper edge of the bracket "
-        "1 - |coh|^2 <= D <= sqrt(1 - |coh|^2), equal to D only for a pure record",
+        "reservoir decoherence over the time grid from one model, the photon-resolved "
+        "branch model: entropy_bits of qubit 0, the cross-branch coh_factor_abs, and "
+        "distinguishability = sqrt(1 - coh_factor_abs^2), the upper edge of "
+        "1 - |coh|^2 <= D <= sqrt(1 - |coh|^2), equal to D only for a pure record. It is exact "
+        "at N = 1 and approximate for N >= 2: against exact evolution of the qubits of "
+        "configs/device.yaml, the largest |coh| error is 0.176 at N = 8",
         (
             _arg("--config", required=True),
             _arg("--n-qubits", type=int, default=None),
@@ -536,8 +541,8 @@ _COMMANDS = {
 
 
 def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """`parser` with the arguments and the handler of command `name`."""
-    func, _, arguments = _COMMANDS[name]
+    """`parser` with the help text, the arguments and the handler of command `name`."""
+    func, parser.description, arguments = _COMMANDS[name]
     for flags, kwargs in arguments:
         parser.add_argument(*flags, **kwargs)
     parser.set_defaults(func=func)

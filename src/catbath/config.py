@@ -46,14 +46,8 @@ class QubitConfig:
     K_MHz: float = 0.0
 
     def floquet_params(self) -> FloquetParams:
-        return FloquetParams(
-            xi=self.xi_MHz * MHZ,
-            eps=self.eps_MHz * MHZ,
-            nu=self.nu_MHz * MHZ,
-            delta=self.delta_MHz * MHZ,
-            K=self.K_MHz * MHZ,
-            name=self.name,
-        )
+        keys = ("xi", "eps", "nu", "delta", "K")
+        return FloquetParams(**{k: getattr(self, f"{k}_MHz") * MHZ for k in keys}, name=self.name)
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,11 @@ hilbert._chebyshev_operator explains: each exchange term flips one
 qubit and moves one photon, so the partners of a whole photon row lie
 in one photon row of the other grid, and the Hamiltonian is a window
 table per qubit taken straight from the basis bits.  Its spectral bound
-counts only the excitation levels the state occupies, since H never
-leaves a level, and the operator of its last call is kept, so a
-repeated call on the same Hamiltonian and levels costs the series
-alone.  At delta = 0 the cat (x) |G> lies on the even grid, and each
-term of the series is one gather of whole photon rows from one grid and
-one sum over the qubits.  The dense reservoir_hamiltonian with
+is the Gershgorin interval of that whole table, and the operator of
+its last (spec, cutoff) is kept, so a repeated call on the same
+Hamiltonian costs the series alone.  At delta = 0 the cat (x) |G> lies
+on the even grid, and each term of the series is one gather of whole
+photon rows from one grid and one sum over the qubits.  The dense reservoir_hamiltonian with
 hilbert.evolve is kept as the test oracle for small registers.
 
 Dynamics layouts are boson (x) qubits, boson first (factor 0).
@@ -328,7 +327,7 @@ def analytic_joint_state(
         branch = (pair[:, :, None] * branch[:, None, :]).reshape(rows, -1)
     # photon shift: pattern b moves from level n to n - |b|
     width = 2**n_q
-    excited = _excitation_numbers(n_q, 1)  # |b| of each column
+    excited = _popcounts(n_q)  # |b| of each column
     src = (np.arange(cutoff)[:, None] + excited) * width + np.arange(width)
     amps = branch.ravel().take(src.ravel())
     # an elementwise sum, not a BLAS dot, so no thread count moves the digits
@@ -527,37 +526,28 @@ def coherence_factor(t, spec: ReservoirSpec):
     return complex(coh) if coh.ndim == 0 else coh
 
 
-def _excitation_numbers(n_qubits: int, cutoff: int) -> np.ndarray:
-    """a^dag a + sum_k |e><e|_k of each basis index n 2^N + b: n + popcount(b)."""
-    popcount = np.zeros(1, dtype=int)
-    for _ in range(n_qubits):
-        popcount = np.concatenate([popcount, popcount + 1])
-    return (np.arange(cutoff)[:, None] + popcount).ravel()
+def _popcounts(n_qubits: int) -> np.ndarray:
+    """sum_k |e><e|_k of each qubit pattern b = 0 .. 2^N - 1: popcount(b)."""
+    return np.sum((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1, axis=1)
 
 
-def _parity_patterns(n_qubits: int) -> np.ndarray:
-    """(2, 2^(N-1)): the qubit patterns b of even and of odd parity, each in increasing order.
+@functools.lru_cache(maxsize=1)
+def _reservoir_operator(spec: ReservoirSpec, cutoff: int):
+    """(patterns, operator): H on the (pattern x photon) grids of hilbert._chebyshev_operator.
 
-    Patterns 2j and 2j + 1 differ in their last bit only, so one of
-    each pair has each parity, and pattern b sits at position b >> 1
-    of its half's list.
-    """
-    pairs = _excitation_numbers(n_qubits - 1, 1)  # popcount of j
-    return 2 * np.arange(pairs.size) + (pairs + np.array([[0], [1]])) % 2
-
-
-def _exchange_terms(spec: ReservoirSpec, cutoff: int, patterns: np.ndarray):
-    """(diag, start, amp) of H on the grids of hilbert._chebyshev_operator.
-
-    Row (p, n + 1) of half h holds |n> (x) |b>, b = patterns[h, p] from
-    _parity_patterns, for 0 <= n < cutoff; columns 0 and cutoff + 1 are
-    pads, no basis state.  Qubit 0 is the highest bit of b.  If qubit k
-    is excited, |n, b> couples to |n+1, b without k> at lambda_k/2
-    sqrt(n+1), and delta_k adds to the diagonal.  Each exchange term
-    flips one qubit, so qubit k's partners of the whole photon row of b
-    lie in the photon row of b ^ bit_k, in the other half at position
-    (b ^ bit_k) >> 1: one photon up where qubit k is excited in b, one
-    down where it is not.  So straight from the bits,
+    The halves are the qubit patterns b of even and of odd parity,
+    patterns (2, 2^(N-1)), each in increasing order: patterns 2j and
+    2j + 1 differ in their last bit only, so one of each pair has each
+    parity, and pattern b sits at position b >> 1 of its half's list.
+    Row (p, n + 1) of half h holds |n> (x) |b>, b = patterns[h, p], for
+    0 <= n < cutoff; columns 0 and cutoff + 1 are pads, no basis state.
+    Qubit 0 is the highest bit of b.  If qubit k is excited, |n, b>
+    couples to |n+1, b without k> at lambda_k/2 sqrt(n+1), and delta_k
+    adds to the diagonal.  Each exchange term flips one qubit, so qubit
+    k's partners of the whole photon row of b lie in the photon row of
+    b ^ bit_k, in the other half at position (b ^ bit_k) >> 1: one
+    photon up where qubit k is excited in b, one down where it is not.
+    So straight from the bits,
 
         start = ((b ^ bit_k) >> 1)(cutoff + 2) + 2 up,
         amp = lambda_k/2 root[up],
@@ -566,8 +556,12 @@ def _exchange_terms(spec: ReservoirSpec, cutoff: int, patterns: np.ndarray):
     sqrt(n + 1) along the columns, zero on the pads and at n = cutoff - 1
     going up, where no partner exists (at n = 0 going down, sqrt(n) is
     0).  The shift of one column and the buffer's leading zero give
-    the 2 up.
+    the 2 up.  The operator of the last (spec, cutoff) is kept, about
+    0.7 MiB at N = 8, cutoff 40, so a repeated call on one Hamiltonian
+    skips the build.
     """
+    pairs = _popcounts(spec.n_qubits - 1)  # popcount of j
+    patterns = 2 * np.arange(pairs.size) + (pairs + np.array([[0], [1]])) % 2
     width = cutoff + 2
     shift = np.arange(spec.n_qubits - 1, -1, -1)[:, None]  # of qubit k's bit in b
     up = (patterns[:, None, :] >> shift) & 1  # (2, N, P)
@@ -579,30 +573,7 @@ def _exchange_terms(spec: ReservoirSpec, cutoff: int, patterns: np.ndarray):
     scaled = np.asarray(spec.couplings)[:, None, None] / 2.0 * root
     amp = scaled[np.arange(spec.n_qubits)[:, None], up]
     diag = np.einsum("hkp,k->hp", up, np.asarray(spec.detunings))
-    return diag, start, amp
-
-
-@functools.lru_cache(maxsize=1)
-def _level_operator(spec: ReservoirSpec, cutoff: int, occupied: bytes):
-    """(patterns, operator): H on the (pattern x photon) grids, bound on the levels in `occupied`.
-
-    `occupied` holds one bool per level m = 0 .. cutoff + N - 1.  The
-    operator's halves are the patterns of even and of odd qubit parity
-    (_parity_patterns), each a (2^(N-1), cutoff + 2) grid of pattern by
-    photon number (_exchange_terms), and it counts the rows of the
-    occupied levels only, row (p, n + 1) of pattern b holding
-    n + popcount(b) excitations.  The operator of the last (spec,
-    cutoff, occupied) is kept, about 0.7 MiB at N = 8, cutoff 40, so a
-    repeated call on one Hamiltonian and one set of levels skips the
-    build.
-    """
-    levels = np.frombuffer(occupied, dtype=bool)
-    patterns = _parity_patterns(spec.n_qubits)
-    diag, start, amp = _exchange_terms(spec, cutoff, patterns)
-    counted = np.zeros(patterns.shape + (cutoff + 2,), dtype=bool)
-    popcount = _excitation_numbers(spec.n_qubits, 1)[patterns]
-    counted[..., 1:-1] = levels[popcount[..., None] + np.arange(cutoff)]
-    return patterns, _chebyshev_operator(diag, start, amp, counted)
+    return patterns, _chebyshev_operator(diag, start, amp)
 
 
 def evolve_excitation_blocks(
@@ -614,21 +585,23 @@ def evolve_excitation_blocks(
     |e><e|_k, so a level where psi is zero stays exactly zero, and the
     population of each level is conserved without splitting the state
     into blocks.  psi is copied onto the (pattern x photon) grids of
-    _level_operator, one per qubit parity, where _exchange_terms builds
-    H as one window table per qubit (at most N couplings per row); it is
-    real, and hilbert._chebyshev_propagate applies it in about r|t|
-    terms, r the half-width of the Gershgorin bound on the spectrum of
-    the rows of the levels psi occupies.  The rows of the other levels
-    hold zeros and keep them.  A state in low levels thus gets a short
-    series, and a zero state returns zeros.  Each term is one gather of
-    whole photon rows and one weighted sum per nonzero part (real,
-    imaginary) of the state: at delta = 0 on one grid per grid the part
-    occupies (the cat (x) |G> occupies one), and otherwise on both (see
+    _reservoir_operator, one per qubit parity, where H is one window
+    table per qubit (at most N couplings per row); it is real, and
+    hilbert._chebyshev_propagate applies it in about r|t| terms, r the
+    half-width of the Gershgorin bound on the spectrum of the whole
+    table.  Every state runs the same series: the cat (x) |G> and its
+    |alpha> branch occupy the row |cutoff - 1, G>, whose radius
+    sum_k lambda_k/2 sqrt(cutoff - 1) is already the largest, while a
+    state confined to low levels gets no shorter series.  A zero state
+    returns zeros.  Each term is one gather of whole photon rows and one
+    weighted sum per nonzero part (real, imaginary) of the state: at
+    delta = 0 on one grid per grid the part occupies (the cat (x) |G>
+    occupies one), and otherwise on both (see
     hilbert._chebyshev_operator).  The operator of the last call is
-    kept, so a call with the same spec, cutoff and occupied levels skips
-    the build.  t may be negative; it must be finite, and so must every
-    amplitude of psi: a non-finite one is an error that names its
-    index, raised before any build.
+    kept, so a call with the same spec and cutoff skips the build.  t
+    may be negative; it must be finite, and so must every amplitude of
+    psi: a non-finite one is an error that names its index, raised
+    before any build.
     """
     _require_finite(t)
     layout = _layout(spec, cutoff)
@@ -637,17 +610,12 @@ def evolve_excitation_blocks(
     bad = np.flatnonzero(~np.isfinite(psi.amps))
     if bad.size:
         raise ValueError(f"psi must be finite: amplitude {bad[0]} is {psi.amps[bad[0]]}")
-    excitation = _excitation_numbers(spec.n_qubits, cutoff)
-    occupied = np.bincount(
-        excitation[np.flatnonzero(psi.amps)], minlength=cutoff + spec.n_qubits
-    ) > 0
+    patterns, operator = _reservoir_operator(spec, cutoff)
+    grid = np.zeros(patterns.shape + (cutoff + 2,), dtype=complex)
+    grid[..., 1:-1] = np.moveaxis(psi.amps.reshape(cutoff, -1)[:, patterns], 0, -1)
+    grid = _chebyshev_propagate(operator, t, grid)
     out = np.zeros(layout.dim, dtype=complex)
-    if occupied.any():
-        patterns, operator = _level_operator(spec, cutoff, occupied.tobytes())
-        grid = np.zeros(patterns.shape + (cutoff + 2,), dtype=complex)
-        grid[..., 1:-1] = np.moveaxis(psi.amps.reshape(cutoff, -1)[:, patterns], 0, -1)
-        grid = _chebyshev_propagate(operator, t, grid)
-        out.reshape(cutoff, -1)[:, patterns] = np.moveaxis(grid[..., 1:-1], -1, 0)
+    out.reshape(cutoff, -1)[:, patterns] = np.moveaxis(grid[..., 1:-1], -1, 0)
     return StateVector(layout, out)
 
 

@@ -40,6 +40,11 @@ __all__ = [
 
 # midpoint steps per drive period in swap_frequency
 _STEPS_PER_DRIVE_PERIOD = 40
+# the largest modulation index |eps/nu| FloquetParams takes: up to it,
+# hilbert._bessel_cut keeps the neglected J_k below 1e-27, and there
+# _bessel_orders(25, mu) takes 0.14-0.21 s on a 2-vCPU VM; its sweep
+# runs over about |mu| orders
+_MAX_MODULATION_INDEX = 1e6
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,9 @@ class FloquetParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu <= 0:
             raise ValueError("modulation frequency nu must be positive")
+        if abs(self.mu) > _MAX_MODULATION_INDEX:
+            raise ValueError(f"modulation index |eps/nu| = {abs(self.mu):.6g} is above "
+                             f"{_MAX_MODULATION_INDEX:g}, past the range of the Bessel sweep")
         ratio = abs(self._j01[0] * self.xi) / self.nu
         if ratio >= 0.2:
             warnings.warn(

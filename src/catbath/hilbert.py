@@ -35,7 +35,8 @@ diagonal, as the reservoir Hamiltonian is between the rows of even and
 of odd qubit parity, with each half a grid of rows whose couplings come
 in window tables: the partners of a whole grid row lie in one window
 of the other half.  _chebyshev_operator explains how it uses that
-split.  Its terms are numpy gathers of whole windows and sums, so no
+split, and bounds the spectrum by the Gershgorin interval of the whole
+table.  Its terms are numpy gathers of whole windows and sums, so no
 module of the package imports scipy.
 
 All frequencies are angular (rad/s) and all times are seconds.
@@ -357,7 +358,7 @@ def _bessel_orders(n_max: int, x: float) -> np.ndarray:
     return j[: n_max + 1]
 
 
-def _chebyshev_operator(diag: np.ndarray, start: np.ndarray, amp: np.ndarray, counted: np.ndarray):
+def _chebyshev_operator(diag: np.ndarray, start: np.ndarray, amp: np.ndarray):
     """(c, r, starts): the operator that _chebyshev_propagate applies.
 
     H is real and symmetric, and bipartite off its diagonal: its rows
@@ -375,20 +376,19 @@ def _chebyshev_operator(diag: np.ndarray, start: np.ndarray, amp: np.ndarray, co
       element start[h, s, p] + w of the other half's buffer, so the
       partners of a whole grid row are one window of W elements; amp 0
       means none.  Each coupling is listed from both of its ends, with
-      one amp, so that H is symmetric;
-    - counted (2, P, W): the rows the state may occupy.  H must take
-      none of them to a row outside, and the state must be zero there,
-      so those rows stay zero whatever their weights.
+      one amp, so that H is symmetric.
 
     A complex `diag` or `amp` is an error.  [c - r, c + r] is the
-    Gershgorin interval of H on the counted rows, r the largest sum of
-    |amp| over the slots plus |diag - c|, and H~ = (H - c)/r.  The
-    values stored are those of 2H~, the recurrence's factor 2 included
-    (doubling is exact), scaled in place: `amp` becomes the weights, so
-    the caller passes an array it no longer needs.  If the counted rows
-    carry no coupling and one diagonal value, H is c on the state: r is
-    0 and there is no table.  Build it once and apply it at any number
-    of times.
+    Gershgorin interval of H over every cell of the table, r the largest
+    sum of |amp| over the slots plus |diag - c|, and H~ = (H - c)/r.  A
+    pad has radius 0 and the diagonal of its grid row, so it never widens
+    that interval.  The values stored are those of 2H~, the recurrence's
+    factor 2 included (doubling is exact), scaled in place: `amp`
+    becomes the weights, so the caller passes an array it no longer
+    needs.  If the table carries no coupling and one diagonal value, H
+    is c: r is 0 and there is no table.  For the reservoir Hamiltonian
+    that is cutoff 1 with every detuning 0.  Build it once and apply it
+    at any number of times.
 
     A table is (start, weight, diagonal), its weight C-contiguous, and
     its product with v, a vector in buffer form, is
@@ -420,8 +420,8 @@ def _chebyshev_operator(diag: np.ndarray, start: np.ndarray, amp: np.ndarray, co
     if np.iscomplexobj(diag) or np.iscomplexobj(amp):
         raise ValueError("diag and amp must be real: the series needs a real symmetric H")
     radius = np.abs(amp).sum(axis=1)
-    lo = np.min((diag[..., None] - radius)[counted])
-    hi = np.max((diag[..., None] + radius)[counted])
+    lo = np.min(diag[..., None] - radius)
+    hi = np.max(diag[..., None] + radius)
     c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
     if r == 0:
         return c, r, ()
@@ -449,15 +449,15 @@ def _chebyshev_propagate(operator, t: float, x: np.ndarray) -> np.ndarray:
     three-term recurrence runs in real arithmetic, once for each piece
     of x: its real and its imaginary part on the rows of each start of
     the operator (see _chebyshev_operator for the parity split).  A
-    piece that is all zero is skipped.  Its even terms land on the
-    start's rows, and its odd terms, which carry the factor -i, on the
-    other half's rows.  Each term is one table product
-    (_chebyshev_sums).  The series stops at the last term whose
+    piece that is all zero is skipped, so a zero x returns zeros.  Its
+    even terms land on the start's rows, and its odd terms, which carry
+    the factor -i, on the other half's rows.  Each term is one table
+    product (_chebyshev_sums).  The series stops at the last term whose
     coefficient exceeds _CHEBYSHEV_TOL; J_k(rt) falls off faster than
     exponentially once k > |rt|, so the cost is about r|t| terms per
-    nonzero piece.  At r = 0, H is c on x, and the result is
-    exp(-ict) x.  t may be negative.  x must be finite: a missing
-    partner is read at weight 0, and 0 * inf is NaN.
+    nonzero piece, whichever rows x occupies.  At r = 0, H is c, and
+    the result is exp(-ict) x.  t may be negative.  x must be finite: a
+    missing partner is read at weight 0, and 0 * inf is NaN.
     """
     c, r, starts = operator
     if r == 0:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -152,6 +153,9 @@ def test_floquet_calib_cli(tmp_path):
     ("xi_MHz", "1e308", "xi must be finite"),  # overflows in the conversion to rad/s
     ("nu_MHz", "0", "nu must be positive"),
     ("nu_MHz", "125", "resonant denominator"),  # (1 - n) nu + K = 0 at n = 3
+    # refused before a Bessel sweep over 8e10 orders, a 607 GiB array
+    ("nu_MHz", "1e-9", "row R1: modulation index |eps/nu| = 8.15e+10 is above 1e+06, "
+                       "past the range of the Bessel sweep"),
 ])
 def test_floquet_calib_rejects_out_of_range_row(tmp_path, capsys, column, value, message):
     header = ["name", "xi_MHz", "eps_MHz", "nu_MHz", "delta_MHz", "K_MHz"]
@@ -159,9 +163,35 @@ def test_floquet_calib_rejects_out_of_range_row(tmp_path, capsys, column, value,
     params = tmp_path / "params.csv"
     params.write_text(",".join(header) + "\n" + ",".join(row[h] for h in header) + "\n")
     out = tmp_path / "calib.csv"
+    start = time.perf_counter()
     assert main(["floquet-calib", "--params", str(params), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,index", [
+    ("eps_MHz", 1.0e150, "5.26316e+147"),  # a sweep over about that many orders
+    ("nu_MHz", 1.0e-9, "8.15e+10"),  # a 607 GiB array
+    ("nu_MHz", 1.0e-6, "8.15e+07"),  # about 12 s of a Python loop
+], ids=["eps-1e150", "nu-1e-9", "nu-1e-6"])
+def test_decohere_rejects_a_modulation_index_past_the_bessel_sweep(
+    tmp_path, capsys, field, value, index
+):
+    # R1 of device.yaml with one field changed: refused before the sweep
+    data = yaml.safe_load(DEVICE_YAML.read_text())
+    data["qubits"][0][field] = value
+    path = tmp_path / "r1.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "dec.csv"
+    start = time.perf_counter()
+    assert main(["decohere", "--config", str(path), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: qubits[0]: modulation index |eps/nu| = {index} is above 1e+06, "
+        "past the range of the Bessel sweep\n"
+    )
     assert not out.exists()
 
 
@@ -1062,6 +1092,16 @@ def test_parser_for_one_command_matches_the_full_parser(name, capsys, monkeypatc
         assert expected[0] == (0 if "-h" in case else 1)
     # catbath -h lists every command
     assert all(command in build_parser().format_help() for command in _COMMANDS)
+
+
+def test_decohere_help_says_the_model_is_approximate_past_one_qubit(capsys):
+    # until the columns come from exact evolution, -h says how far off they are
+    with pytest.raises(SystemExit) as exc:
+        main(["decohere", "-h"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "exact at N = 1 and approximate for N >= 2" in out
+    assert "the largest |coh| error is 0.176 at N = 8" in out
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "c.yaml", "decohere"]],

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catbath import cli
 from catbath.analysis import von_neumann_entropy
+from catbath.config import load_config
 from catbath.dynamics import (
     _TIME_CHUNK,
     ReservoirSpec,
-    _level_operator,
+    _reservoir_operator,
     analytic_joint_state,
     analytic_qubit_states,
     branch_amplitudes,
@@ -36,6 +39,8 @@ from catbath.hilbert import (
 )
 
 from conftest import LAMBDA_HALF_TABLE, MHZ, NS, photon_resolved_coh
+
+DEVICE_YAML = Path(__file__).parent.parent / "configs" / "device.yaml"
 
 ALPHA = 3.3
 N_MEAN = ALPHA**2
@@ -400,12 +405,11 @@ def _basis_of_grids(patterns: np.ndarray, cutoff: int, n_qubits: int) -> np.ndar
 
 
 def test_resonant_operator_stores_no_diagonal_and_half_the_couplings():
-    # N = 8, cutoff 40, the levels of the cat: 36 352 couplings, each once
-    # in the even table B and once in the odd table B^T, with no diagonal
+    # N = 8, cutoff 40: on the levels of the cat, 36 352 couplings, each
+    # once in the even table B and once in the odd table B^T, with no diagonal
     spec = table_spec(8)
     cutoff = 40
-    levels = np.arange(cutoff + 8) < cutoff
-    patterns, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    patterns, (c, r, starts) = _reservoir_operator(spec, cutoff)
     (even, odd, (b, b_t)), (odd_start, even_other, odd_tables) = starts
     assert c == 0.0 and b[2] is None and b_t[2] is None
     assert (even, odd, odd_start, even_other) == (0, 1, 1, 0)
@@ -444,8 +448,7 @@ def test_detuned_operator_keeps_each_halfs_diagonal():
     # Hamiltonian on the basis rows
     spec = ReservoirSpec(table_spec(3).couplings, (0.0, 2.0 * MHZ, 0.0), N_MEAN)
     cutoff = 6
-    levels = np.ones(cutoff + 3, dtype=bool)
-    patterns, (c, r, starts) = _level_operator(spec, cutoff, levels.tobytes())
+    patterns, (c, r, starts) = _reservoir_operator(spec, cutoff)
     ((here, there, (whole, same)),) = starts
     start, weight, diagonal = whole
     assert here == there == slice(None) and same is whole
@@ -477,37 +480,44 @@ def test_detuned_operator_keeps_each_halfs_diagonal():
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("detuned", [False, True])
-def test_gershgorin_bound_counts_the_occupied_rows_only(n, detuned):
-    # r and c against the Gershgorin interval of the dense Hamiltonian on
-    # the rows of random sets of levels, and a state on the top occupied
-    # level against dense evolution: a counted phantom partner a photon
-    # up from n = cutoff - 1 would widen r, and a pad that picked up a
-    # value would show in the state
+def test_gershgorin_bound_is_the_whole_table(n, detuned):
+    # r and c against the Gershgorin interval of the dense Hamiltonian
+    # over all its rows, and a state on level 0 and one on the top level
+    # m = cutoff + n - 1 against dense evolution: a phantom partner a
+    # photon up from n = cutoff - 1 would widen r, and a pad that picked
+    # up a value would show in the state
     detunings = (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n] if detuned else (0.0,) * n
     spec = ReservoirSpec(table_spec(n).couplings, detunings, N_MEAN)
     cutoff = 5
     layout = SpaceLayout((cutoff,) + (2,) * n)
-    excitation = _excitation(layout)
     h = reservoir_hamiltonian(spec, cutoff)
+    c, r, _ = _reservoir_operator(spec, cutoff)[1]
+    mat = h.mat.real
+    radius = np.abs(mat).sum(axis=1) - np.abs(np.diag(mat))
+    lo, hi = np.min(np.diag(mat) - radius), np.max(np.diag(mat) + radius)
+    scale = max(abs(lo), abs(hi))
+    assert abs(c - (hi + lo) / 2.0) <= 1e-14 * scale
+    assert abs(r - (hi - lo) / 2.0) <= 1e-14 * scale
+    excitation = _excitation(layout)
     psi = _random_state(layout, n)
-    rng = np.random.default_rng(10 * n + detuned)
-    subsets = [rng.random(cutoff + n) < 0.4 for _ in range(6)]
-    subsets += [np.arange(cutoff + n) == cutoff + n - 1, np.arange(cutoff + n) >= cutoff - 1]
-    for levels in subsets:
-        if not levels.any():
-            continue
-        c, r, _ = _level_operator(spec, cutoff, levels.tobytes())[1]
-        rows = np.flatnonzero(levels[excitation])
-        block = h.mat.real[np.ix_(rows, rows)]
-        radius = np.abs(block).sum(axis=1) - np.abs(np.diag(block))
-        lo, hi = np.min(np.diag(block) - radius), np.max(np.diag(block) + radius)
-        scale = max(abs(lo), abs(hi))
-        assert abs(c - (hi + lo) / 2.0) <= 1e-14 * scale
-        assert abs(r - (hi - lo) / 2.0) <= 1e-14 * scale
-        top = StateVector(layout, np.where(excitation == np.flatnonzero(levels)[-1], psi.amps, 0.0))
+    for level in (0, cutoff + n - 1):
+        state = StateVector(layout, np.where(excitation == level, psi.amps, 0.0))
         for t in (23 * NS, 140 * NS):
-            out = evolve_excitation_blocks(spec, top, t, cutoff)
-            assert np.max(np.abs(out.amps - evolve(h, top, t).amps)) < 1e-12
+            out = evolve_excitation_blocks(spec, state, t, cutoff)
+            assert np.max(np.abs(out.amps - evolve(h, state, t).amps)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_device_cat_series_is_bound_on_its_top_row(n):
+    # the device's resonant H at cutoff 40 has c = 0, and its largest
+    # radius is that of the row |cutoff - 1, G>, which the cat occupies:
+    # the whole-table bound is the one the cat's own rows give
+    spec = cli._reservoir_from_config(load_config(DEVICE_YAML), n)
+    cutoff = 40
+    c, r, _ = _reservoir_operator(spec, cutoff)[1]
+    want = sum(lam / 2.0 for lam in spec.couplings) * math.sqrt(cutoff - 1)
+    assert c == 0.0
+    assert abs(r - want) <= 1e-15 * want
 
 
 def _path_operator(diag: np.ndarray):
@@ -523,9 +533,7 @@ def _path_operator(diag: np.ndarray):
     amp = np.zeros((2, 2, 2, 3))
     amp[:, 0, :, 1] = [0.7, 0.4]
     amp[0, 1, 1, 1] = amp[1, 1, 0, 1] = -1.3
-    counted = np.zeros((2, 2, 3), dtype=bool)
-    counted[..., 1] = True
-    return _chebyshev_operator(diag, start, amp, counted)
+    return _chebyshev_operator(diag, start, amp)
 
 
 @pytest.mark.parametrize("half", ["even", "odd"])
@@ -593,11 +601,11 @@ def _excitation(layout: SpaceLayout) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_engine_state_parts_match_dense(part, n):
     # a purely real or imaginary state skips one of the two real series; a
-    # state in one excitation level has its series bound on that level's
-    # rows only, also a level m >= cutoff, and every other level stays
-    # exactly zero; level 0 is the one row |0, G> and at N = 1 level cutoff
-    # the one row |cutoff - 1, e>: neither has a coupling, so r = 0 and
-    # the state only takes the phase of its diagonal
+    # state in one excitation level, also a level m >= cutoff, runs the
+    # series of the whole table, and every other level stays exactly zero;
+    # level 0 is the one row |0, G> and at N = 1 level cutoff the one row
+    # |cutoff - 1, e>: neither has a coupling, so the state only takes the
+    # phase of its diagonal
     spec = ReservoirSpec(
         table_spec(n).couplings, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ)[:n], N_MEAN
     )
@@ -631,8 +639,8 @@ def test_engine_zero_state_returns_zeros():
 
 
 def test_engine_kept_operator_follows_spec_and_levels():
-    # the engine keeps the operator of its last call; consecutive calls
-    # here differ in one detuning only, or in the occupied levels only,
+    # the engine keeps the operator of its last (spec, cutoff); consecutive
+    # calls here differ in one detuning only, or in the state's levels only,
     # and one repeats, and each must match dense evolution
     lams = table_spec(3).couplings
     spec_a = ReservoirSpec(lams, (1.5 * MHZ, -0.7 * MHZ, 3.1 * MHZ), N_MEAN)
@@ -657,9 +665,8 @@ def test_engine_kept_operator_follows_spec_and_levels():
 def test_chebyshev_rejects_complex_hamiltonian(arg):
     args = {"diag": np.zeros((2, 1)), "amp": np.full((2, 1, 1, 3), 0.5)}
     args[arg] = args[arg].astype(complex)
-    counted = np.ones((2, 1, 3), dtype=bool)
     with pytest.raises(ValueError, match="real symmetric"):
-        _chebyshev_operator(args["diag"], np.ones((2, 1, 1), dtype=int), args["amp"], counted)
+        _chebyshev_operator(args["diag"], np.ones((2, 1, 1), dtype=int), args["amp"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.3, -math.inf)])
@@ -671,10 +678,10 @@ def test_engine_rejects_non_finite_state(bad):
     layout = SpaceLayout((cutoff, 2, 2))
     amps = _random_state(layout, 2).amps.copy()
     amps[[17, 30]] = bad
-    kept = _level_operator.cache_info()
+    kept = _reservoir_operator.cache_info()
     with pytest.raises(ValueError, match="psi must be finite: amplitude 17 is "):
         evolve_excitation_blocks(spec, StateVector(layout, amps), 50 * NS, cutoff)
-    assert _level_operator.cache_info() == kept
+    assert _reservoir_operator.cache_info() == kept
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

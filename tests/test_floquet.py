@@ -256,6 +256,16 @@ def test_params_validation():
         FloquetParams(xi=100 * MHZ, eps=0.0, nu=100 * MHZ)
 
 
+def test_params_reject_a_modulation_index_past_the_bessel_sweep(monkeypatch):
+    # the sweep runs over about |eps/nu| orders: the index is refused before it
+    from catbath import floquet
+
+    monkeypatch.setattr(floquet, "_bessel_orders", lambda n_max, x: pytest.fail("swept"))
+    for eps, nu in ((1.0e6 * MHZ + 1.0, MHZ), (-81.5 * MHZ, 1.0e-9 * MHZ), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match=r"modulation index \|eps/nu\| = .* is above 1e\+06"):
+            FloquetParams(xi=19.6 * MHZ, eps=eps, nu=nu)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["xi", "eps", "nu", "delta", "K"])
 def test_params_reject_non_finite(field, bad):
