@@ -271,14 +271,13 @@ def _cmd_prep_cat(args) -> list[str]:
     cfg = load_config(args.config)
     _require_synthesis_cutoff(cfg)
     spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
-    xi = cfg.ancilla_xi_MHz * MHZ
-    steps = catprep.backward_angles(spec, xi)
+    # the steps and the cat from one backward sweep, as make_amplitude_cat runs it
+    steps, cat = catprep._synthesize(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
     _write_csv(
         args.steps_out,
         ["n", "theta_rad", "t_ns"],
         [(s.n, s.theta, s.t / NS) for s in steps],
     )
-    cat = catprep.make_amplitude_cat(spec, cfg.cutoff, xi)
     _write_csv(
         args.fock_out,
         ["fock_n", "re", "im"],

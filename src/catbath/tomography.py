@@ -204,12 +204,16 @@ def _wigner(rho: DensityMatrix, re_grid, im_grid) -> np.ndarray:
     # rho_mn with m <= n as given, the rest as conj(rho_nm); flipped, so
     # that anti-diagonal N of rho is a diagonal
     flip = (np.triu(rho.mat) + np.triu(rho.mat, 1).conj().T)[:, ::-1]
-    phase = (-1j) ** np.arange(2 * d - 1)
-    g = np.zeros((2 * d - 1, 2 * d - 1))
+    size = 2 * d - 1
+    phase = (-1j) ** np.arange(size)
+    # G flat: its anti-diagonal N, G[j, N - j] for j = 0 .. N, is the
+    # slice from N to N size in steps of size - 1 (of 1 when size is 1)
+    g = np.zeros(size * size)
+    step = max(size - 1, 1)
     for n, b in enumerate(_splitter(d)):
-        j = np.arange(n + 1)
         s = np.einsum("m,mj->j", np.diagonal(flip, d - 1 - n), b)
-        g[j, n - j] = (phase[n::-1] * s).real
+        g[n : n * size + 1 : step] = (phase[n::-1] * s).real
+    g = g.reshape(size, size)
     g *= 2.0 / math.sqrt(math.pi)
     # h_0 .. h_{2d-2} at 2 Re beta, then at 2 Im beta, one row per point
     x = 2.0 * np.concatenate([re_grid, im_grid])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from catbath.catprep import (
+    N_STAR,
     CatSpec,
     ProtocolStep,
+    _displaced_columns,
     apply_sequence,
     backward_angles,
     cat_fock_amplitudes,
@@ -14,7 +16,15 @@ from catbath.catprep import (
     truncation_fidelity,
 )
 from catbath.floquet import FloquetParams, full_floquet_hamiltonian
-from catbath.hilbert import SpaceLayout, StateVector, coherent_state, fidelity
+from catbath.hilbert import (
+    _TAIL_TOL,
+    SpaceLayout,
+    StateVector,
+    TruncationWarning,
+    coherent_state,
+    displacement,
+    fidelity,
+)
 
 from conftest import MHZ
 
@@ -229,6 +239,72 @@ def test_make_amplitude_cat():
 def test_make_amplitude_cat_vacuum_limit():
     cat = make_amplitude_cat(CatSpec(alpha=1e-10), 12)
     assert abs(cat.amps[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+def laguerre_displacement(m: int, n: int, beta: complex) -> complex:
+    """<m|D(beta)|n> from its closed Laguerre form, in mpmath (Cahill & Glauber 1969)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        b = mpmath.mpc(beta)
+        x = abs(b) ** 2
+        lo, hi = min(m, n), max(m, n)
+        power = b ** (m - n) if m >= n else (-mpmath.conj(b)) ** (n - m)
+        value = (
+            mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * power
+            * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x)
+        )
+        return complex(value)
+
+
+@pytest.mark.parametrize("beta", [1.65, 1.2 + 0.4j, 0.0])
+def test_displaced_columns_are_the_exact_truncated_elements(beta):
+    # the ladder's columns are <m|D(beta)|n> for m < cutoff, with no extra levels
+    c, t = _displaced_columns(beta, 40, N_STAR + 1)
+    cols = c * np.exp(t)
+    exact = np.array(
+        [[laguerre_displacement(m, n, beta) for n in range(N_STAR + 1)] for m in range(40)]
+    )
+    assert np.max(np.abs(cols - exact)) < 1e-13
+    if beta == 0:
+        assert np.array_equal(cols, np.eye(40, N_STAR + 1))
+    # the dense displacement, whose truncated generator is off by about 1e-10
+    assert np.max(np.abs(cols - displacement(beta, 40)[:, : N_STAR + 1])) < 1e-9
+
+
+def test_amplitude_cat_is_the_dense_displacement_of_the_phase_cat():
+    spec = CatSpec(alpha=3.3)
+    layout = SpaceLayout((2, N_STAR + 1))
+    phase_cat = apply_sequence(backward_angles(spec, XI), vacuum(layout), "forward", xi=XI)
+    dense = displacement(1.65, 40)[:, : N_STAR + 1] @ phase_cat.amps[: N_STAR + 1]
+    cat = make_amplitude_cat(spec, 40, XI).amps
+    assert np.linalg.norm(cat) == pytest.approx(1.0, abs=1e-14)
+    overlap = np.vdot(dense, cat)
+    assert np.max(np.abs(dense * (overlap / abs(overlap)) - cat)) < 1e-9
+
+
+def test_amplitude_cat_past_its_cutoff_warns_once_with_the_tail():
+    # at cutoff 7, alpha = 2.5, the cat is the renormalized truncation of
+    # D(alpha/2) on the phase cat, and 0.206 of that state lies past the cutoff
+    spec = CatSpec(alpha=2.5)
+    with pytest.warns(TruncationWarning) as record:
+        cat = make_amplitude_cat(spec, 7, XI).amps
+    (warning,) = record
+    full = make_amplitude_cat(spec, 40, XI).amps
+    tail = np.sum(np.abs(full[7:]) ** 2)
+    assert tail == pytest.approx(0.206, abs=1e-3) and tail > _TAIL_TOL
+    assert f"tail {tail:.3e} " in str(warning.message)
+    assert np.linalg.norm(cat) == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(cat - full[:7] / np.linalg.norm(full[:7]))) < 1e-12
+
+
+def test_amplitude_cat_far_past_the_cutoff_is_finite():
+    # at alpha = 1e5 every true amplitude below the cutoff is 0; the
+    # renormalized cat still has unit norm, with the whole weight as tail
+    with pytest.warns(TruncationWarning, match="tail 1.000e[+]00 "):
+        cat = make_amplitude_cat(CatSpec(alpha=1.0e5), 40, XI).amps
+    assert np.all(np.isfinite(cat))
+    assert np.linalg.norm(cat) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phase_cat_parity_before_displacement():

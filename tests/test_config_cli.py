@@ -133,6 +133,17 @@ def test_prep_cat_cli(tmp_path, config_path):
     assert len(amps) == 24
     norm = sum(float(r["re"]) ** 2 + float(r["im"]) ** 2 for r in amps)
     assert norm == pytest.approx(1.0, abs=1e-9)
+    # the command's one synthesis sweep gives the library's cat, cell for cell
+    cfg = load_config(config_path)
+    spec = catprep.CatSpec(alpha=cfg.scenario.alpha)
+    with pytest.warns(TruncationWarning, match="tail 1.640e-06 "):
+        cat = catprep.make_amplitude_cat(spec, cfg.cutoff, cfg.ancilla_xi_MHz * MHZ)
+    assert [(r["re"], r["im"]) for r in amps] == [
+        ("%.12g" % a.real, "%.12g" % a.imag) for a in cat.amps.tolist()
+    ]
+    # 1.6e-6 of the displaced cat lies past cutoff 24: one warning line
+    (line,) = (tmp_path / "steps.csv.warnings.log").read_text().splitlines()
+    assert line.startswith("TruncationWarning x1: displaced cat truncation tail 1.640e-06 ")
 
 
 def test_floquet_calib_cli(tmp_path):
